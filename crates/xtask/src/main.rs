@@ -368,10 +368,15 @@ fn has_token(line: &str, word: &str) -> bool {
 const SAFETY_WINDOW: usize = 6;
 
 fn check_safety_comments(path: &Path, violations: &mut Vec<String>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        violations.push(format!("{}: unreadable", path.display()));
-        return;
-    };
+    match std::fs::read_to_string(path) {
+        Ok(text) => scan_safety_comments(&path.display().to_string(), &text, violations),
+        Err(_) => violations.push(format!("{}: unreadable", path.display())),
+    }
+}
+
+/// The SAFETY-comment lint over one file's source `text`; violations are
+/// reported as `label:line`.
+fn scan_safety_comments(label: &str, text: &str, violations: &mut Vec<String>) {
     let raw: Vec<&str> = text.lines().collect();
     for (idx, line) in raw.iter().enumerate() {
         if !has_token(&sanitize(line), "unsafe") {
@@ -384,7 +389,7 @@ fn check_safety_comments(path: &Path, violations: &mut Vec<String>) {
         if !covered {
             violations.push(format!(
                 "{}:{}: `unsafe` without a `// SAFETY:` comment within {} lines above",
-                path.display(),
+                label,
                 idx + 1,
                 SAFETY_WINDOW
             ));
@@ -416,9 +421,14 @@ const ALLOW_MARKER: &str = "xtask:allow-blocking";
 const ALLOW_WINDOW: usize = 3;
 
 fn check_blocking_in_async(path: &Path, violations: &mut Vec<String>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
+    if let Ok(text) = std::fs::read_to_string(path) {
+        scan_blocking_in_async(&path.display().to_string(), &text, violations);
+    }
+}
+
+/// The blocking-in-async lint over one file's source `text`; violations are
+/// reported as `label:line`.
+fn scan_blocking_in_async(label: &str, text: &str, violations: &mut Vec<String>) {
     let mut depth = 0usize;
     // Brace depths at which async bodies opened; non-empty = inside async.
     let mut async_stack: Vec<usize> = Vec::new();
@@ -448,7 +458,7 @@ fn check_blocking_in_async(path: &Path, violations: &mut Vec<String>) {
         {
             violations.push(format!(
                 "{}:{}: blocking call in async code (escape with `// {}` if deliberate): {}",
-                path.display(),
+                label,
                 idx + 1,
                 ALLOW_MARKER,
                 raw.trim()
@@ -499,13 +509,19 @@ const TOY_MARKER: &str = "legacy-toy";
 const TOY_WINDOW: usize = 3;
 
 fn check_toy_scheme_containment(path: &Path, violations: &mut Vec<String>) {
-    let display = path.display().to_string().replace('\\', "/");
+    if let Ok(text) = std::fs::read_to_string(path) {
+        scan_toy_scheme_containment(&path.display().to_string(), &text, violations);
+    }
+}
+
+/// The toy-scheme containment lint over one file's source `text`; `label` is
+/// the file's path, which both names violations (`label:line`) and decides
+/// the [`TOY_SCHEME_HOMES`] exemption.
+fn scan_toy_scheme_containment(label: &str, text: &str, violations: &mut Vec<String>) {
+    let display = label.replace('\\', "/");
     if TOY_SCHEME_HOMES.iter().any(|home| display.ends_with(home)) {
         return;
     }
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
     let raw_lines: Vec<&str> = text.lines().collect();
     for (idx, raw) in raw_lines.iter().copied().enumerate() {
         // Sanitize first: prose mentions in comments and strings are fine,
@@ -521,7 +537,7 @@ fn check_toy_scheme_containment(path: &Path, violations: &mut Vec<String>) {
                 "{}:{}: toy-scheme reference outside its `{}` gate (add a \
                  `#[cfg(feature = \"{}\")]` within {} lines above, or use the real \
                  ed25519 API): {}",
-                path.display(),
+                label,
                 idx + 1,
                 TOY_MARKER,
                 TOY_MARKER,
@@ -629,12 +645,8 @@ mod tests {
     }
 
     fn blocking(source: &str) -> Vec<String> {
-        let dir = std::env::temp_dir().join(format!("xtask-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("probe.rs");
-        std::fs::write(&path, source).unwrap();
         let mut v = Vec::new();
-        check_blocking_in_async(&path, &mut v);
+        scan_blocking_in_async("probe.rs", source, &mut v);
         v
     }
 
@@ -671,59 +683,43 @@ mod tests {
 
     #[test]
     fn toy_scheme_lint_flags_ungated_code_but_not_comments() {
-        let dir = std::env::temp_dir().join(format!("xtask-toy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("probe.rs");
         // The fixture's module name is assembled at runtime so this source
         // file never contains the bare token the lint hunts for.
         let toy = String::from("sch") + "norr";
-        std::fs::write(
-            &path,
-            format!(
-                "// the {toy} scheme is mentioned here in prose\n\
-                 #[cfg(feature = \"legacy-toy\")]\n\
-                 use identxx_crypto::{toy};\n\
-                 \n\
-                 \n\
-                 \n\
-                 fn leak() {{ let _ = {toy}::sign(7, b\"m\"); }}\n"
-            ),
-        )
-        .unwrap();
+        let source = format!(
+            "// the {toy} scheme is mentioned here in prose\n\
+             #[cfg(feature = \"legacy-toy\")]\n\
+             use identxx_crypto::{toy};\n\
+             \n\
+             \n\
+             \n\
+             fn leak() {{ let _ = {toy}::sign(7, b\"m\"); }}\n"
+        );
         let mut v = Vec::new();
-        check_toy_scheme_containment(&path, &mut v);
+        scan_toy_scheme_containment("probe.rs", &source, &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("probe.rs:7"), "{v:?}");
     }
 
     #[test]
     fn toy_scheme_home_modules_are_exempt() {
-        let dir = std::env::temp_dir()
-            .join(format!("xtask-toy-home-{}", std::process::id()))
-            .join("crates/crypto/src");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("schnorr.rs");
-        std::fs::write(&path, "pub fn schnorr_sign() {}\n").unwrap();
         let mut v = Vec::new();
-        check_toy_scheme_containment(&path, &mut v);
+        scan_toy_scheme_containment(
+            "probe/crates/crypto/src/schnorr.rs",
+            "pub fn schnorr_sign() {}\n",
+            &mut v,
+        );
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn safety_window_accepts_comment_and_rejects_bare_unsafe() {
-        let dir = std::env::temp_dir().join(format!("xtask-safety-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("probe.rs");
         let padding = "\n".repeat(SAFETY_WINDOW + 1);
-        std::fs::write(
-            &path,
-            format!(
-                "// SAFETY: fine\nlet x = unsafe {{ f() }};{padding}let y = unsafe {{ g() }};\n"
-            ),
-        )
-        .unwrap();
+        let source = format!(
+            "// SAFETY: fine\nlet x = unsafe {{ f() }};{padding}let y = unsafe {{ g() }};\n"
+        );
         let mut v = Vec::new();
-        check_safety_comments(&path, &mut v);
+        scan_safety_comments("probe.rs", &source, &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(
             v[0].contains(&format!("probe.rs:{}", SAFETY_WINDOW + 3)),
