@@ -24,7 +24,7 @@ use identxx_controller::{
     RecordingBackend, ShardedController,
 };
 use identxx_core::{firefox_app, EnterpriseNetwork};
-use identxx_crypto::{sign_bundle_windowed, KeyPair};
+use identxx_crypto::{sign_bundle_windowed, KeyPair, VerifyCache};
 use identxx_daemon::{Daemon, FaultInjector, FaultPlan, Window};
 use identxx_hostmodel::{Executable, Host};
 use identxx_net::DaemonServer;
@@ -1481,6 +1481,14 @@ const E13_COLD_APPS: usize = 64;
 const E13_VERIFY_CAPACITY: usize = 32;
 /// Logical microseconds per decision round.
 const E13_ROUND_MICROS: u64 = 1_000;
+/// Bound on a headline cell's `surplus_x`: the signed path's extra cost per
+/// decision over the unsigned rule, in units of `misses / flows ×
+/// verify_us`. Fresh verifies account for 1.0 of it; the rest is the hash
+/// and lookup each cache hit costs. Twenty measured headline cells (five
+/// full-size and five smoke runs on a 2-vCPU x86-64 container) read
+/// 1.13–1.61; the bound is that maximum plus about a quarter for timer
+/// jitter, and a doubling of uncounted curve math per decision breaks it.
+const E13_SURPLUS_MULTIPLE: f64 = 2.0;
 /// The delegated requirements every E13 bundle signs over.
 const E13_REQS: &str = "block all\npass all with eq(@src[name], research-app)";
 
@@ -1553,6 +1561,34 @@ fn e13_app_sequence(flow_count: usize, locality: f64, seed: u64) -> Vec<usize> {
         .collect()
 }
 
+/// Mean wall-clock cost of one fresh verification through the verify plane
+/// (parse, window check, content hash, curve math, insert): every app's
+/// bundle once through an empty cache, so every lookup is a miss. The
+/// median of three passes damps timer jitter.
+fn e13_verify_us(signer: &KeyPair, apps: &[E13App]) -> f64 {
+    let key = signer.public().to_hex();
+    let mut passes: Vec<f64> = (0..3)
+        .map(|_| {
+            let cache = VerifyCache::new();
+            let started = Instant::now();
+            for app in apps {
+                let field = |name: &str| {
+                    app.pairs
+                        .iter()
+                        .find(|(k, _)| k == name)
+                        .map_or("", |(_, v)| v.as_str())
+                };
+                let items = [field("exe-hash"), field("name"), field("requirements")];
+                cache.verify_hex_at(field("req-sig"), &key, &items, 0);
+            }
+            assert_eq!(cache.stats().misses, apps.len() as u64);
+            started.elapsed().as_secs_f64() * 1e6 / apps.len() as f64
+        })
+        .collect();
+    passes.sort_by(f64::total_cmp);
+    passes[1]
+}
+
 /// Drives the flow stream through one controller in rounds of `batch`,
 /// advancing the logical clock one round per batch. Returns per-decision
 /// wall-clock microseconds and the pass verdicts.
@@ -1613,8 +1649,11 @@ fn e13_controller(
 /// Every cell asserts the security invariants (the forged bundle never
 /// passes; short-lived bundles stop passing at expiry; long-lived cells see
 /// no expiry), and the headline cells (0.9 locality, long lifetime) assert
-/// the amortization claim: hot-set hit rate and a per-decision cost within
-/// ~2× of the unsigned rule. `smoke` shrinks the flow count for CI.
+/// the amortization claim: the hot set stays cached, and the signed path's
+/// surplus over the unsigned rule is accounted for by its fresh
+/// verifications (at most `E13_SURPLUS_MULTIPLE` times
+/// `misses / flows × verify_us`, with `verify_us` measured in the same
+/// cell). `smoke` shrinks the flow count for CI.
 pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
     let flow_count = if smoke { 1_024 } else { 8_192 };
     let signer = KeyPair::from_seed(b"Secur");
@@ -1629,7 +1668,7 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
         "\n# E13: amortized delegation verification ({flow_count} flows, {total_apps} bundles, cache {E13_VERIFY_CAPACITY})"
     );
     println!(
-        "{:>9} {:>9} {:>6} {:>9} {:>8} {:>9} {:>8} {:>11} {:>13} {:>7}",
+        "{:>9} {:>9} {:>6} {:>9} {:>8} {:>9} {:>8} {:>11} {:>13} {:>7} {:>10} {:>10}",
         "locality",
         "lifetime",
         "batch",
@@ -1639,7 +1678,9 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
         "forged",
         "signed_us",
         "unsigned_us",
-        "ratio"
+        "ratio",
+        "verify_us",
+        "surplus_x"
     );
 
     let mut rows = Vec::new();
@@ -1665,6 +1706,7 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
                     })
                     .collect();
 
+                let verify_us = e13_verify_us(&signer, &apps);
                 let mut signed_ctl = e13_controller(&signer, &apps, server, true);
                 let (signed_us, signed_passes) = e13_run(&mut signed_ctl, &flows, batch);
                 let mut unsigned_ctl = e13_controller(&signer, &apps, server, false);
@@ -1673,6 +1715,10 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
                 let stats = signed_ctl.verify_stats();
                 let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
                 let ratio = signed_us / unsigned_us;
+                // The signed path's extra cost per decision, in units of
+                // what its fresh verifications cost.
+                let miss_us = stats.misses as f64 / flow_count as f64 * verify_us;
+                let surplus_x = (signed_us - unsigned_us) / miss_us;
                 let cell = format!("E13 locality {locality} lifetime {lifetime} batch {batch}");
 
                 // The forged bundle never passes; with a valid window it is
@@ -1686,6 +1732,13 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
                 assert!(
                     stats.forged > 0,
                     "{cell}: the forged bundle was never checked"
+                );
+                // The unsigned policy reads no bundle, so it must never pay
+                // for verifying one.
+                let unsigned_misses = unsigned_ctl.verify_stats().misses;
+                assert_eq!(
+                    unsigned_misses, 0,
+                    "{cell}: the unsigned baseline ran curve math {unsigned_misses} times"
                 );
                 // The unsigned baseline accepts what verify() accepts while
                 // the bundles are live — the delegations differ only in
@@ -1717,23 +1770,26 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
                         stats.expired, 0,
                         "{cell}: long-lived bundles must not expire"
                     );
-                    // Headline cells: the hot set stays cached and the
-                    // amortized authenticated decision is within ~2× of the
-                    // unsigned rule (bounded at 3× for CI timer jitter).
+                    // Headline cells: the hot set stays cached, and the
+                    // signed path costs what its fresh verifications cost
+                    // and not much more.
                     if locality >= 0.9 {
                         assert!(
                             hit_rate >= 0.85,
                             "{cell}: hot bundles should amortize (hit rate {hit_rate:.3})"
                         );
                         assert!(
-                            ratio <= 3.0,
-                            "{cell}: authenticated delegation cost {ratio:.2}x the unsigned rule"
+                            surplus_x <= E13_SURPLUS_MULTIPLE,
+                            "{cell}: signed surplus {:.2} us/decision is {surplus_x:.2}x \
+                             what {} fresh verifies at {verify_us:.1} us account for",
+                            signed_us - unsigned_us,
+                            stats.misses
                         );
                     }
                 }
 
                 println!(
-                    "{locality:>9} {lifetime:>9} {batch:>6} {hit_rate:>9.3} {:>8} {:>9} {:>8} {signed_us:>11.2} {unsigned_us:>13.2} {ratio:>7.2}",
+                    "{locality:>9} {lifetime:>9} {batch:>6} {hit_rate:>9.3} {:>8} {:>9} {:>8} {signed_us:>11.2} {unsigned_us:>13.2} {ratio:>7.2} {verify_us:>10.1} {surplus_x:>10.2}",
                     stats.misses, stats.expired, stats.forged
                 );
                 rows.push(
@@ -1753,7 +1809,9 @@ pub fn print_e13(smoke: bool) -> Vec<BenchRow> {
                         .with("forged", stats.forged)
                         .with("signed_us_per_decision", signed_us)
                         .with("unsigned_us_per_decision", unsigned_us)
-                        .with("cost_ratio", ratio),
+                        .with("cost_ratio", ratio)
+                        .with("verify_us", verify_us)
+                        .with("surplus_x", surplus_x),
                 );
             }
         }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use identxx_crypto::{SignedBundle, VerifyCache, VerifyCacheStats};
+use identxx_crypto::{VerifyCache, VerifyCacheStats};
 use identxx_pf::{
     CompiledPolicy, Decision, EvalContext, PfError, PolicyCompiler, RuleSet, StateTable, Verdict,
 };
@@ -79,7 +79,9 @@ pub struct IdentxxController {
     augmenters: Vec<Box<dyn ResponseAugmenter>>,
     /// The amortized `verify()` plane: shared with the compiled policy (and
     /// every interpreter context it spawns), drained into audit notes after
-    /// each decision, prewarmed by `decide_batch`.
+    /// each decision. Bundles are verified lazily, only when an evaluation
+    /// reaches a `verify()`, so `decide` and `decide_batch` pay the same
+    /// curve math for the same flows.
     verify_cache: Arc<VerifyCache>,
     /// A compromised controller (§5.1) stops enforcing anything.
     compromised: bool,
@@ -559,48 +561,6 @@ impl IdentxxController {
                     .collect();
                 self.backend.query_flows(&requests)
             };
-            // Batch verification: warm the verify plane with each *distinct*
-            // signed delegation bundle the responses carry, so a batch
-            // presenting the same bundle N times pays its ed25519 curve math
-            // once up front and every per-flow evaluation below hits the
-            // cache. Prewarming records no audit events (the evaluations
-            // record the real ones) and is correctness-neutral: a bundle
-            // whose policy covers different items simply misses. Raw legacy
-            // signatures carry no key id to resolve, so they skip the
-            // prewarm and amortize through the cache from their first
-            // evaluation instead.
-            let mut prewarmed: Vec<&str> = Vec::new();
-            for (p, queried) in pending.iter().zip(responses.iter()) {
-                let ends = [
-                    p.src.as_ref().or(queried.src.as_ref()),
-                    p.dst.as_ref().or(queried.dst.as_ref()),
-                ];
-                for response in ends.into_iter().flatten() {
-                    let Some(sig) = response.latest(well_known::REQ_SIG) else {
-                        continue;
-                    };
-                    if prewarmed.contains(&sig) {
-                        continue;
-                    }
-                    let Ok(bundle) = SignedBundle::from_hex(sig) else {
-                        continue;
-                    };
-                    let Some(key) = self.config.trusted_keys.get(&bundle.key_id) else {
-                        continue;
-                    };
-                    let items = [
-                        response.latest(well_known::EXE_HASH).unwrap_or(""),
-                        response
-                            .latest(well_known::APP_NAME)
-                            .or_else(|| response.latest(well_known::APP_NAME_ALT))
-                            .unwrap_or(""),
-                        response.latest(well_known::REQUIREMENTS).unwrap_or(""),
-                    ];
-                    self.verify_cache
-                        .prewarm_hex_at(sig, &key.to_hex(), &items, now);
-                    prewarmed.push(sig);
-                }
-            }
             for (p, queried) in pending.into_iter().zip(responses) {
                 // Re-check the cache: an earlier flow of this very batch may
                 // have inserted an entry this flow aliases (its repeat, its
@@ -1569,36 +1529,45 @@ mod tests {
 
     /// A backend scripting both ends of `flow` with a signed delegation
     /// bundle for the given source app (destination runs plain httpd).
+    /// An answer carrying a `Secur`-signed bundle over
+    /// `(exe_hash, app, DELEGATED_REQS)`, valid in `[not_before, not_after)`.
+    /// Signing is deterministic, so equal arguments give the identical
+    /// bundle text.
+    fn signed_answer(
+        signer: &KeyPair,
+        not_before: u64,
+        not_after: u64,
+        app: &str,
+        exe_hash: &str,
+    ) -> Vec<(String, String)> {
+        let bundle = sign_bundle_windowed(
+            signer,
+            "Secur",
+            not_before,
+            not_after,
+            &[exe_hash, app, DELEGATED_REQS],
+        );
+        vec![
+            ("name".to_string(), app.to_string()),
+            ("exe-hash".to_string(), exe_hash.to_string()),
+            ("requirements".to_string(), DELEGATED_REQS.to_string()),
+            ("req-sig".to_string(), bundle.to_hex()),
+        ]
+    }
+
     fn delegation_backend(
         signer: &KeyPair,
         not_before: u64,
         not_after: u64,
         tamper: bool,
     ) -> Box<crate::backend::RecordingBackend> {
-        let exe_hash = "f00dfeed";
-        let bundle = sign_bundle_windowed(
-            signer,
-            "Secur",
-            not_before,
-            not_after,
-            &[exe_hash, "research-app", DELEGATED_REQS],
-        );
-        let name = if tamper {
-            "imposter-app"
-        } else {
-            "research-app"
-        };
+        let mut answer = signed_answer(signer, not_before, not_after, "research-app", "f00dfeed");
+        if tamper {
+            answer[0].1 = "imposter-app".to_string();
+        }
         Box::new(
             crate::backend::RecordingBackend::new()
-                .with_answer(
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    vec![
-                        ("name".to_string(), name.to_string()),
-                        ("exe-hash".to_string(), exe_hash.to_string()),
-                        ("requirements".to_string(), DELEGATED_REQS.to_string()),
-                        ("req-sig".to_string(), bundle.to_hex()),
-                    ],
-                )
+                .with_answer(Ipv4Addr::new(10, 0, 0, 1), answer)
                 .with_answer(
                     Ipv4Addr::new(10, 0, 0, 2),
                     vec![("name".to_string(), "httpd".to_string())],
@@ -1705,20 +1674,23 @@ mod tests {
         assert!(notes.iter().all(|n| n.category != "verify-forged"));
     }
 
+    fn verify_notes(controller: &IdentxxController) -> Vec<(String, String)> {
+        controller
+            .audit()
+            .policy_notes()
+            .iter()
+            .filter(|n| n.category.starts_with("verify-"))
+            .map(|n| (n.category.clone(), n.message.clone()))
+            .collect()
+    }
+
     #[test]
-    fn decide_batch_prewarms_each_distinct_bundle_once() {
+    fn decide_batch_verifies_each_distinct_bundle_once() {
         let signer = KeyPair::from_seed(b"Secur");
         // Five distinct flows from the same delegated app: the batch's
-        // responses all carry the identical bundle. The prewarm pass should
-        // verify it once; every per-flow evaluation then hits the cache.
-        let exe_hash = "f00dfeed";
-        let bundle = sign_bundle_windowed(
-            &signer,
-            "Secur",
-            0,
-            1_000,
-            &[exe_hash, "research-app", DELEGATED_REQS],
-        );
+        // responses all carry the identical bundle. The first evaluation
+        // verifies it; the other four hit the cache.
+        let answer = signed_answer(&signer, 0, 1_000, "research-app", "f00dfeed");
         let mut backend = crate::backend::RecordingBackend::new().with_answer(
             Ipv4Addr::new(10, 0, 0, 200),
             vec![("name".to_string(), "httpd".to_string())],
@@ -1726,15 +1698,7 @@ mod tests {
         let mut flows = Vec::new();
         for i in 0..5u8 {
             let src = Ipv4Addr::new(10, 0, 0, 10 + i);
-            backend = backend.with_answer(
-                src,
-                vec![
-                    ("name".to_string(), "research-app".to_string()),
-                    ("exe-hash".to_string(), exe_hash.to_string()),
-                    ("requirements".to_string(), DELEGATED_REQS.to_string()),
-                    ("req-sig".to_string(), bundle.to_hex()),
-                ],
-            );
+            backend = backend.with_answer(src, answer.clone());
             flows.push(FiveTuple::tcp(src, 41_000, [10, 0, 0, 200], 80));
         }
         let mut controller = IdentxxController::new(delegation_config(&signer))
@@ -1747,15 +1711,108 @@ mod tests {
             stats.misses, 1,
             "one batch, one distinct bundle, one round of curve math: {stats:?}"
         );
-        assert_eq!(stats.hits, 5, "every evaluation served from the cache");
-        // The prewarm recorded no events — only the five real evaluations.
-        let cached_notes = controller
-            .audit()
-            .policy_notes()
+        assert_eq!(
+            stats.hits, 4,
+            "every later evaluation served from the cache"
+        );
+        let notes = verify_notes(&controller);
+        let count = |category: &str| notes.iter().filter(|(c, _)| c == category).count();
+        assert_eq!(count("verify-fresh"), 1);
+        assert_eq!(count("verify-cached"), 4);
+        assert_eq!(notes.len(), 5);
+    }
+
+    #[test]
+    fn decide_batch_skips_bundles_the_policy_never_reads() {
+        let signer = KeyPair::from_seed(b"Secur");
+        // Eight flows from two delegated apps, each to its own destination
+        // whose answer carries a validly signed bundle too. The policy
+        // verifies only `@src`, so only the two distinct `@src` bundles may
+        // cost curve math.
+        let apps = [("app-a", "aaaa0001"), ("app-b", "bbbb0002")];
+        let mut backend = crate::backend::RecordingBackend::new();
+        let mut flows = Vec::new();
+        for i in 0..8u8 {
+            let (app, exe) = apps[usize::from(i % 2)];
+            let src = Ipv4Addr::new(10, 0, 1, i);
+            let dst = Ipv4Addr::new(10, 0, 2, i);
+            let dst_exe = format!("dddd{i:04}");
+            backend = backend
+                .with_answer(src, signed_answer(&signer, 0, 1_000, app, exe))
+                .with_answer(dst, signed_answer(&signer, 0, 1_000, "httpd", &dst_exe));
+            flows.push(FiveTuple::tcp(src, 41_000, dst, 80));
+        }
+        let mut controller = IdentxxController::new(delegation_config(&signer))
+            .unwrap()
+            .with_backend(Box::new(backend));
+        let decisions = controller.decide_batch(&flows, 10);
+        assert!(decisions.iter().all(FlowDecision::is_pass));
+        let stats = controller.verify_stats();
+        assert_eq!(stats.misses, 2, "only the @src bundles: {stats:?}");
+        assert_eq!(stats.hits, 6);
+        assert_eq!(controller.verify_cache().len(), 2);
+    }
+
+    #[test]
+    fn decide_loop_and_decide_batch_verify_alike() {
+        let signer = KeyPair::from_seed(b"Secur");
+        // Four delegated apps and one imposter (its name differs from the
+        // one its bundle signs), spread over 24 sources; every destination
+        // also answers with a signed bundle the policy never reads.
+        let mut src_answers: Vec<Vec<(String, String)>> = (0..4)
+            .map(|a| signed_answer(&signer, 0, 1_000, &format!("app-{a}"), &format!("e{a:07}")))
+            .collect();
+        let mut imposter = signed_answer(&signer, 0, 1_000, "app-0", "e0000000");
+        imposter[0].1 = "imposter".to_string();
+        src_answers.push(imposter);
+        let dst_answers: Vec<_> = (0..3)
+            .map(|d| signed_answer(&signer, 0, 1_000, "httpd", &format!("d{d:07}")))
+            .collect();
+        let mut flows = Vec::new();
+        let mut backend_script = Vec::new();
+        for i in 0..24u8 {
+            let src = Ipv4Addr::new(10, 0, 1, i);
+            let dst = Ipv4Addr::new(10, 0, 2, i % 3);
+            backend_script.push((src, src_answers[usize::from(i % 5)].clone()));
+            backend_script.push((dst, dst_answers[usize::from(i % 3)].clone()));
+            flows.push(FiveTuple::tcp(src, 41_000, dst, 80));
+        }
+        let controller = || {
+            let backend = backend_script.iter().cloned().fold(
+                crate::backend::RecordingBackend::new(),
+                |b, (host, pairs)| b.with_answer(host, pairs),
+            );
+            IdentxxController::new(delegation_config(&signer))
+                .unwrap()
+                .with_backend(Box::new(backend))
+        };
+
+        let mut looped = controller();
+        let looped_passes: Vec<bool> = flows
             .iter()
-            .filter(|n| n.category == "verify-cached")
-            .count();
-        assert_eq!(cached_notes, 5);
+            .map(|f| looped.decide(f, 10).is_pass())
+            .collect();
+        assert_eq!(looped_passes.iter().filter(|p| !**p).count(), 4);
+        assert!(looped.verify_stats().forged > 0);
+        for size in [1, 16] {
+            let mut batched = controller();
+            let batched_passes: Vec<bool> = flows
+                .chunks(size)
+                .flat_map(|chunk| batched.decide_batch(chunk, 10))
+                .map(|d| d.is_pass())
+                .collect();
+            assert_eq!(batched_passes, looped_passes, "batch size {size}");
+            assert_eq!(
+                batched.verify_stats(),
+                looped.verify_stats(),
+                "batch size {size}"
+            );
+            assert_eq!(
+                verify_notes(&batched),
+                verify_notes(&looped),
+                "batch size {size}"
+            );
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! A hit costs one SHA-256 of the bundle text plus two integer compares — the
 //! "one hash + expiry check" fast path the roadmap asks for. The cache is
 //! capped (default [`DEFAULT_VERIFY_CACHE_CAPACITY`]) with oldest-use
-//! eviction per shard, and every outcome is counted and optionally recorded
-//! as a [`VerifyEvent`] so the controller can attach `verify-cached` /
+//! eviction per shard, and every outcome is counted and recorded as a
+//! [`VerifyEvent`] so the controller can attach `verify-cached` /
 //! `verify-fresh` / `verify-expired` / `verify-forged` audit notes to the
 //! decisions that triggered them.
 
@@ -96,13 +96,9 @@ pub struct VerifyEvent {
 /// Counter snapshot, shaped like the controller's other `*_stats()` accessors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyCacheStats {
-    /// Verifications answered from the cache. Prewarm lookups are not
-    /// counted (their verdicts are served — and counted — by the
-    /// evaluations that follow); only the curve math a prewarm miss runs
-    /// shows up, under `misses`.
+    /// Verifications answered from the cache (no curve math).
     pub hits: u64,
-    /// Lookups that had to run curve math (prewarm misses included — that
-    /// work really ran).
+    /// Verifications that had to run curve math; their verdicts are cached.
     pub misses: u64,
     /// Entries evicted to stay under the capacity cap.
     pub evictions: u64,
@@ -186,71 +182,24 @@ impl VerifyCache {
         items: &[S],
         now: u64,
     ) -> VerifyOutcome {
-        self.verify_inner(sig_hex, key_hex, items, now, true)
-    }
-
-    /// Like [`VerifyCache::verify_hex_at`] but without recording an audit
-    /// event or outcome/hit counters — used by `decide_batch` to prewarm
-    /// distinct bundles before the per-decision evaluations run (the
-    /// evaluations record the real events and outcomes). Only the work a
-    /// prewarm actually performs is counted: a cache miss's curve math and
-    /// any eviction it causes.
-    pub fn prewarm_hex_at<S: AsRef<str>>(
-        &self,
-        sig_hex: &str,
-        key_hex: &str,
-        items: &[S],
-        now: u64,
-    ) -> VerifyOutcome {
-        self.verify_inner(sig_hex, key_hex, items, now, false)
-    }
-
-    fn verify_inner<S: AsRef<str>>(
-        &self,
-        sig_hex: &str,
-        key_hex: &str,
-        items: &[S],
-        now: u64,
-        record: bool,
-    ) -> VerifyOutcome {
         let parsed = match parse_sig_hex(sig_hex) {
             Ok(p) => p,
-            Err(_) => {
-                if record {
-                    self.unparseable.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::Unparseable, None);
-                }
-                return VerifyOutcome::Unparseable;
-            }
+            Err(_) => return self.record(VerifyOutcome::Unparseable, None),
         };
         let key_id = parsed.key_id().map(|s| s.to_string());
         // Window first: an expired bundle must not cost curve math, and its
         // rejection must not depend on whether it was ever cached.
         if let Some((not_before, not_after)) = parsed.window() {
             if now < not_before {
-                if record {
-                    self.not_yet_valid.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::NotYetValid, key_id);
-                }
-                return VerifyOutcome::NotYetValid;
+                return self.record(VerifyOutcome::NotYetValid, key_id);
             }
             if now >= not_after {
-                if record {
-                    self.expired.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::Expired, key_id);
-                }
-                return VerifyOutcome::Expired;
+                return self.record(VerifyOutcome::Expired, key_id);
             }
         }
         let key = match PublicKey::from_hex(key_hex) {
             Some(k) => k,
-            None => {
-                if record {
-                    self.unparseable.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::Unparseable, key_id);
-                }
-                return VerifyOutcome::Unparseable;
-            }
+            None => return self.record(VerifyOutcome::Unparseable, key_id),
         };
 
         let digest = cache_key(sig_hex, key_hex, items);
@@ -269,15 +218,8 @@ impl VerifyCache {
             } else {
                 VerifyOutcome::Forged
             };
-            if record {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                match outcome {
-                    VerifyOutcome::Forged => self.forged.fetch_add(1, Ordering::Relaxed),
-                    _ => self.valid.fetch_add(1, Ordering::Relaxed),
-                };
-                self.record(outcome, key_id);
-            }
-            return outcome;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return self.record(outcome, key_id);
         }
 
         // Miss: run the curve math outside any lock.
@@ -304,21 +246,24 @@ impl VerifyCache {
         } else {
             VerifyOutcome::Forged
         };
-        if record {
-            match outcome {
-                VerifyOutcome::Forged => self.forged.fetch_add(1, Ordering::Relaxed),
-                _ => self.valid.fetch_add(1, Ordering::Relaxed),
-            };
-            self.record(outcome, key_id);
-        }
-        outcome
+        self.record(outcome, key_id)
     }
 
-    fn record(&self, outcome: VerifyOutcome, key_id: Option<String>) {
+    /// Counts `outcome` and buffers its audit event; returns `outcome`.
+    fn record(&self, outcome: VerifyOutcome, key_id: Option<String>) -> VerifyOutcome {
+        let counter = match outcome {
+            VerifyOutcome::CachedValid | VerifyOutcome::FreshValid => &self.valid,
+            VerifyOutcome::Expired => &self.expired,
+            VerifyOutcome::NotYetValid => &self.not_yet_valid,
+            VerifyOutcome::Forged => &self.forged,
+            VerifyOutcome::Unparseable => &self.unparseable,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         let mut events = self.events.lock().unwrap();
         if events.len() < EVENT_BUFFER_CAP {
             events.push(VerifyEvent { outcome, key_id });
         }
+        outcome
     }
 
     /// Drains the recorded verification events (controller audit plumbing).
@@ -542,24 +487,6 @@ mod tests {
         assert!(events.iter().all(|e| e.key_id.as_deref() == Some("secur")));
         // Drained: buffer is empty now.
         assert!(cache.drain_events().is_empty());
-    }
-
-    #[test]
-    fn prewarm_does_not_record_events() {
-        let cache = VerifyCache::new();
-        let items = ["h"];
-        let sig = sign_bundle_hex(&kp(), &items);
-        let key = kp().public().to_hex();
-        assert_eq!(
-            cache.prewarm_hex_at(&sig, &key, &items, 0),
-            VerifyOutcome::FreshValid
-        );
-        assert!(cache.drain_events().is_empty());
-        // But the verdict is cached for the real lookup.
-        assert_eq!(
-            cache.verify_hex_at(&sig, &key, &items, 0),
-            VerifyOutcome::CachedValid
-        );
     }
 
     #[test]

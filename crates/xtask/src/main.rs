@@ -703,13 +703,17 @@ mod tests {
 
     #[test]
     fn toy_scheme_home_modules_are_exempt() {
-        let mut v = Vec::new();
-        scan_toy_scheme_containment(
-            "probe/crates/crypto/src/schnorr.rs",
-            "pub fn schnorr_sign() {}\n",
-            &mut v,
-        );
-        assert!(v.is_empty(), "{v:?}");
+        // Assembled at runtime, as above: an ungated bare path the lint
+        // flags anywhere but in the scheme's own home modules.
+        let toy = String::from("sch") + "norr";
+        let source = format!("use crate::{toy}::sign;\n");
+        let mut home = Vec::new();
+        scan_toy_scheme_containment("probe/crates/crypto/src/schnorr.rs", &source, &mut home);
+        assert!(home.is_empty(), "{home:?}");
+        // Control: the same text under a non-home label is a leak.
+        let mut elsewhere = Vec::new();
+        scan_toy_scheme_containment("probe/crates/crypto/src/lib.rs", &source, &mut elsewhere);
+        assert_eq!(elsewhere.len(), 1, "{elsewhere:?}");
     }
 
     #[test]
