@@ -19,9 +19,9 @@
 //! (CI's second smoke configuration); without it E9 sweeps 1/2/4/8 and E8b
 //! runs unsharded. Every E9 cell (and the sharded E8b run) asserts it is
 //! decision-identical to the single-controller path, so the smoke run fails
-//! if sharding ever changes a decision. E10 compares the reactor runtime
-//! against the `IDENTXX_RUNTIME=threaded` baseline; `IDENTXX_E10_SMOKE=1`
-//! shrinks its sweep to CI size. E12 is the failure-drill matrix (partition,
+//! if sharding ever changes a decision. E10 sweeps the reactor runtime over
+//! daemon count × lanes and asserts its thread bound in every cell;
+//! `IDENTXX_E10_SMOKE=1` shrinks its sweep to CI size. E12 is the failure-drill matrix (partition,
 //! brownout, shard loss, reshard-under-load — DESIGN.md §9): every cell
 //! asserts bounded round latency, fail-closed denies for unobtainable
 //! answers, and post-recovery decision identity; `IDENTXX_E12_SMOKE=1`

@@ -10,9 +10,9 @@
 //!
 //! Every written file carries a trailing **environment row** (marked
 //! `"row": "environment"`) recording the machine the numbers came from —
-//! available cores, the effective `IDENTXX_WORKERS`/`IDENTXX_SHARDS`/
-//! `IDENTXX_RUNTIME` knobs — so when the CI container ever grows past one
-//! vCPU, the long-awaited multi-core E9/E10 rows are attributable without
+//! available cores, the effective `IDENTXX_WORKERS`/`IDENTXX_SHARDS`
+//! knobs — so when the CI container ever grows past one vCPU, the
+//! long-awaited multi-core E9/E10 rows are attributable without
 //! archaeology. Artifact consumers should filter on the marker.
 //!
 //! [`parse_json`] is the matching decoder: [`write_bench_json`] re-reads
@@ -86,30 +86,34 @@ impl BenchRow {
     }
 }
 
-/// The environment row every written report ends with: which machine and
-/// knob configuration produced these numbers.
-pub fn environment_row() -> BenchRow {
-    let cores = std::thread::available_parallelism()
+fn available_cores() -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    // Mirrors the runtime's worker-count rule (IDENTXX_WORKERS, else
-    // max(2, parallelism)) so the recorded value is the effective one.
-    let workers = std::env::var("IDENTXX_WORKERS")
+        .unwrap_or(1)
+}
+
+/// The runtime's effective worker-thread count. Mirrors its rule
+/// (`IDENTXX_WORKERS`, else `max(2, parallelism)`).
+pub(crate) fn runtime_workers() -> usize {
+    std::env::var("IDENTXX_WORKERS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|n| *n >= 1)
-        .unwrap_or_else(|| cores.max(2));
+        .unwrap_or_else(|| available_cores().max(2))
+}
+
+/// The environment row every written report ends with: which machine and
+/// knob configuration produced these numbers.
+pub fn environment_row() -> BenchRow {
     let shards = std::env::var("IDENTXX_SHARDS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(0);
-    let runtime = std::env::var("IDENTXX_RUNTIME").unwrap_or_else(|_| "reactor".to_string());
     BenchRow::new()
         .with("row", "environment")
-        .with("available_cores", cores)
-        .with("identxx_workers", workers)
+        .with("available_cores", available_cores())
+        .with("identxx_workers", runtime_workers())
         .with("identxx_shards", shards)
-        .with("identxx_runtime", runtime.as_str())
 }
 
 fn escape(s: &str, out: &mut String) {
@@ -338,7 +342,7 @@ mod tests {
                 other => panic!("{key} missing or non-numeric: {other:?}"),
             }
         }
-        assert!(matches!(row.get("identxx_runtime"), Some(Value::Str(_))));
+        assert_eq!(row.fields().len(), 4, "{row:?}");
     }
 
     /// One representative row per experiment schema the binary emits,
@@ -360,7 +364,6 @@ mod tests {
                 .with("decisions_per_sec", 22412.7),
             BenchRow::new()
                 .with("experiment", "e10")
-                .with("runtime", "reactor")
                 .with("lanes", 4usize)
                 .with("daemons", 64usize)
                 .with("peak_threads", 9usize),

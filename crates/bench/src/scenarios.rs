@@ -807,7 +807,7 @@ pub fn print_e9(shard_counts: &[usize], flow_count: usize) -> Vec<BenchRow> {
 }
 
 // ---------------------------------------------------------------------------
-// E10: reactor vs threaded runtime under connection fan-out
+// E10: the reactor runtime under connection fan-out
 // ---------------------------------------------------------------------------
 
 /// Artificial daemon processing delay for E10 (microseconds). Small on
@@ -927,12 +927,16 @@ pub fn run_e10_cell(
     )
 }
 
-/// Prints the E10 table: the reactor runtime vs the thread-per-task
-/// baseline (`IDENTXX_RUNTIME=threaded`) across daemon count × concurrent
-/// lanes, all at the E9 ceiling round size (batch 32). The separation the
-/// table exists to show: decisions/sec on the high-fan-out rows, and the
-/// process thread count — O(workers) on the reactor, O(connections) on the
-/// baseline. Returns the cells as bench rows.
+/// Threads an E10 cell may run beyond the runtime's workers and its lanes:
+/// the main thread, the reactor thread, and the cell's peak-thread sampler.
+const E10_FIXED_THREADS: usize = 3;
+
+/// Prints the E10 table: the reactor runtime across daemon count ×
+/// concurrent lanes, all at the E9 ceiling round size (batch 32). Every
+/// cell asserts the runtime's thread bound — the process never runs more
+/// than `workers + lanes + 3` threads (main, reactor, sampler), however
+/// many daemon connections are live — so thread count stays O(workers),
+/// not O(connections). Returns the cells as bench rows.
 ///
 /// `smoke` shrinks the sweep for CI (fewer daemons, fewer flows).
 pub fn print_e10(smoke: bool) -> Vec<BenchRow> {
@@ -941,72 +945,53 @@ pub fn print_e10(smoke: bool) -> Vec<BenchRow> {
     } else {
         (&[4, 32, 128], &[1, 4], 1024)
     };
+    let workers = crate::report::runtime_workers();
     println!(
-        "\n# E10: reactor vs thread-per-task runtime (batch {E10_BATCH}, {E10_DAEMON_DELAY_MICROS} us/daemon, {flow_count} flows/cell)"
+        "\n# E10: reactor runtime under connection fan-out (batch {E10_BATCH}, {E10_DAEMON_DELAY_MICROS} us/daemon, {flow_count} flows/cell, {workers} workers)"
     );
     println!(
-        "{:>10} {:>8} {:>6} {:>16} {:>14} {:>13}",
-        "runtime", "daemons", "lanes", "decisions/sec", "queries/flow", "peak-threads"
+        "{:>8} {:>6} {:>16} {:>14} {:>13} {:>13}",
+        "daemons", "lanes", "decisions/sec", "queries/flow", "peak-threads", "thread-bound"
     );
     let mut rows = Vec::new();
-    let mut reactor_dps: std::collections::BTreeMap<(usize, usize), f64> =
-        std::collections::BTreeMap::new();
-    let mut ratios: Vec<(usize, usize, f64)> = Vec::new();
-    for mode in ["reactor", "threaded"] {
-        if mode == "threaded" {
-            std::env::set_var("IDENTXX_RUNTIME", "threaded");
-        } else {
-            std::env::remove_var("IDENTXX_RUNTIME");
+    for &daemons in daemon_counts {
+        let servers = start_e10_daemons(daemons);
+        let endpoints: Vec<(Ipv4Addr, SocketAddr)> = servers
+            .iter()
+            .map(|(addr, server)| (*addr, server.local_addr()))
+            .collect();
+        let hosts: Vec<Ipv4Addr> = endpoints.iter().map(|(a, _)| *a).collect();
+        let mut config = WorkloadConfig::enterprise(hosts, flow_count, 17);
+        config.locality = 0.0;
+        let flows: Vec<FiveTuple> = WorkloadGenerator::new(config)
+            .generate()
+            .into_iter()
+            .map(|flow| flow.five_tuple)
+            .collect();
+        for &lanes in lane_counts {
+            let (dps, qpf, threads) = run_e10_cell(&endpoints, lanes, &flows);
+            let bound = workers + lanes + E10_FIXED_THREADS;
+            println!("{daemons:>8} {lanes:>6} {dps:>16.0} {qpf:>14.2} {threads:>13} {bound:>13}");
+            assert!(
+                threads <= bound,
+                "E10: {threads} threads at {daemons} daemons × {lanes} lanes exceed \
+                 {workers} workers + {lanes} lanes + {E10_FIXED_THREADS}"
+            );
+            rows.push(
+                BenchRow::new()
+                    .with("experiment", "e10")
+                    .with("daemons", daemons)
+                    .with("lanes", lanes)
+                    .with("batch", E10_BATCH)
+                    .with("flows", flow_count)
+                    .with("decisions_per_sec", dps)
+                    .with("queries_per_flow", qpf)
+                    .with("peak_threads", threads),
+            );
         }
-        for &daemons in daemon_counts {
-            let servers = start_e10_daemons(daemons);
-            let endpoints: Vec<(Ipv4Addr, SocketAddr)> = servers
-                .iter()
-                .map(|(addr, server)| (*addr, server.local_addr()))
-                .collect();
-            let hosts: Vec<Ipv4Addr> = endpoints.iter().map(|(a, _)| *a).collect();
-            let mut config = WorkloadConfig::enterprise(hosts, flow_count, 17);
-            config.locality = 0.0;
-            let flows: Vec<FiveTuple> = WorkloadGenerator::new(config)
-                .generate()
-                .into_iter()
-                .map(|flow| flow.five_tuple)
-                .collect();
-            for &lanes in lane_counts {
-                let (dps, qpf, threads) = run_e10_cell(&endpoints, lanes, &flows);
-                println!(
-                    "{mode:>10} {daemons:>8} {lanes:>6} {dps:>16.0} {qpf:>14.2} {threads:>13}"
-                );
-                if mode == "reactor" {
-                    reactor_dps.insert((daemons, lanes), dps);
-                } else if let Some(reactor) = reactor_dps.get(&(daemons, lanes)) {
-                    ratios.push((daemons, lanes, reactor / dps));
-                }
-                rows.push(
-                    BenchRow::new()
-                        .with("experiment", "e10")
-                        .with("runtime", mode)
-                        .with("daemons", daemons)
-                        .with("lanes", lanes)
-                        .with("batch", E10_BATCH)
-                        .with("flows", flow_count)
-                        .with("decisions_per_sec", dps)
-                        .with("queries_per_flow", qpf)
-                        .with("peak_threads", threads),
-                );
-            }
-            for (_, server) in servers {
-                server.shutdown();
-            }
+        for (_, server) in servers {
+            server.shutdown();
         }
-    }
-    std::env::remove_var("IDENTXX_RUNTIME");
-    println!(
-        "{:>10} {:>8} {:>6} {:>16}",
-        "", "daemons", "lanes", "reactor/threaded"
-    );
-    for (daemons, lanes, ratio) in ratios {
-        println!("{:>10} {daemons:>8} {lanes:>6} {ratio:>15.2}x", "ratio");
     }
     rows
 }

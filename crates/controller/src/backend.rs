@@ -27,23 +27,24 @@
 //!
 //! ## Contract
 //!
-//! One [`QueryBackend::query_flow`] call resolves every requested target of
-//! one flow. For each target the backend must either produce a response or
-//! silently yield `None` — transport failures (timeout, refused connection,
-//! silent daemon, no daemon at all) are *not* errors, because the paper's
-//! controller must "cope with missing information" and let the policy
-//! decide. Every requested target counts as one query sent; each `None`
-//! counts as unanswered. Backends never interpret responses: interception,
+//! [`QueryBackend::query_flows`] is the one required query method: one call
+//! resolves a round of flows (one [`FlowRequest`] each), returning one
+//! [`FlowResponses`] per request in request order. For each requested
+//! target the backend must either produce a response or silently yield
+//! `None` — transport failures (timeout, refused connection, silent daemon,
+//! no daemon at all) are *not* errors, because the paper's controller must
+//! "cope with missing information" and let the policy decide. Every
+//! requested target counts as one query sent; each `None` counts as
+//! unanswered. Backends never interpret responses: interception,
 //! augmentation, and policy evaluation stay controller-side.
 //!
-//! [`QueryBackend::query_flows`] extends the same contract to a batch of
-//! flows (one [`FlowRequest`] each) resolved in a single query round. The
-//! per-request semantics are identical to calling `query_flow` once per
-//! request — the default implementation does exactly that — but a transport
-//! may reorganize the round: [`NetworkBackend`] coalesces every query bound
-//! for the same host into one `QUERY-BATCH` frame on that host's pooled
-//! connection, so a round of B flows costs one round trip per involved
-//! host instead of up to 2·B connections. See DESIGN.md §6.
+//! Per-request semantics do not depend on the round size — a round answers
+//! exactly as its requests would one at a time, which is what the provided
+//! [`QueryBackend::query_flow`] (the one-request round) relies on. A
+//! transport may still reorganize the round: [`NetworkBackend`] coalesces
+//! every query bound for the same host into one `QUERY-BATCH` frame on that
+//! host's pooled connection, so a round of B flows costs one round trip per
+//! involved host instead of up to 2·B connections. See DESIGN.md §6.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -62,7 +63,7 @@ use crate::querier::DaemonDirectory;
 /// experiments can compare transports like for like.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
-    /// Queries sent (one per requested target per `query_flow` call).
+    /// Queries sent (one per requested target of every request).
     pub queries_sent: u64,
     /// Queries that produced a response.
     pub responses_received: u64,
@@ -82,8 +83,8 @@ pub struct FlowResponses {
     /// Response from the flow's destination host, if that end was requested
     /// and answered.
     pub dst: Option<Response>,
-    /// How many queries the backend sent for this call (one per requested
-    /// target, whether or not it was answered).
+    /// How many queries the backend sent for this request (one per
+    /// requested target, whether or not it was answered).
     pub queries_issued: u32,
 }
 
@@ -118,33 +119,29 @@ pub struct FlowRequest<'a> {
 
 /// A transport that resolves ident++ queries for both ends of a flow.
 pub trait QueryBackend: Send {
-    /// Resolves the requested `targets` of `flow` in one call, with `keys`
-    /// as the advisory hint list (§3.2). The backend decides how: serially
-    /// in-process, concurrently over TCP, or from a script. Targets not in
-    /// `targets` are left `None` and do not count as queries.
+    /// Resolves a whole round of flows, returning one [`FlowResponses`] per
+    /// request, in request order. Each request's `targets` are resolved with
+    /// its `keys` as the advisory hint list (§3.2); ends not in `targets`
+    /// are left `None` and do not count as queries. The backend decides
+    /// how: serially in-process, coalesced per host over TCP, or from a
+    /// script — but per-request semantics (counting, missing-information
+    /// handling) must not change with the round size.
+    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses>;
+
+    /// Resolves the requested `targets` of one flow: the one-request round.
     fn query_flow(
         &mut self,
         flow: &FiveTuple,
         targets: &[QueryTarget],
         keys: &[&str],
-    ) -> FlowResponses;
-
-    /// Resolves a whole batch of flows in one query round, returning one
-    /// [`FlowResponses`] per request, in request order.
-    ///
-    /// The default implementation loops over [`QueryBackend::query_flow`],
-    /// which is exactly right for in-process and scripted backends: batching
-    /// is a *transport* optimization, and per-request semantics (counting,
-    /// missing-information handling) must not change with the round size.
-    /// [`NetworkBackend`] overrides this to coalesce every query bound for
-    /// the same host into one multi-query frame on that host's pooled
-    /// connection — a round costs one round trip per involved *host*, not
-    /// one connection (or thread) per flow end.
-    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
-        requests
-            .iter()
-            .map(|r| self.query_flow(&r.flow, r.targets, r.keys))
-            .collect()
+    ) -> FlowResponses {
+        self.query_flows(&[FlowRequest {
+            flow: *flow,
+            targets,
+            keys,
+        }])
+        .pop()
+        .unwrap_or_default()
     }
 
     /// Transport counters accumulated since construction.
@@ -212,33 +209,14 @@ impl InProcessBackend {
 }
 
 impl QueryBackend for InProcessBackend {
-    fn query_flow(
-        &mut self,
-        flow: &FiveTuple,
-        targets: &[QueryTarget],
-        keys: &[&str],
-    ) -> FlowResponses {
-        let mut responses = FlowResponses::default();
-        for &target in targets {
-            let addr = target_addr(flow, target);
-            self.stats.queries_sent += 1;
-            responses.queries_issued += 1;
-            let partitioned = self
-                .fault_injector
-                .as_ref()
-                .is_some_and(|injector| injector.unreachable(addr));
-            let answer = if partitioned {
-                None
-            } else {
-                self.directory.query(addr, flow, keys)
-            };
-            match &answer {
-                Some(_) => self.stats.responses_received += 1,
-                None => self.stats.timeouts += 1,
-            }
-            responses.set(target, answer);
-        }
-        responses
+    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
+        let directory = &mut self.directory;
+        answer_round(
+            requests,
+            &mut self.stats,
+            self.fault_injector.as_deref(),
+            |addr, flow, keys| directory.query(addr, flow, keys),
+        )
     }
 
     fn stats(&self) -> BackendStats {
@@ -317,36 +295,20 @@ impl SharedDirectoryBackend {
 }
 
 impl QueryBackend for SharedDirectoryBackend {
-    fn query_flow(
-        &mut self,
-        flow: &FiveTuple,
-        targets: &[QueryTarget],
-        keys: &[&str],
-    ) -> FlowResponses {
-        let mut responses = FlowResponses::default();
-        for &target in targets {
-            let addr = target_addr(flow, target);
-            self.stats.queries_sent += 1;
-            responses.queries_issued += 1;
-            let partitioned = self
-                .fault_injector
-                .as_ref()
-                .is_some_and(|injector| injector.unreachable(addr));
-            let answer = if partitioned {
-                None
-            } else {
-                self.directory
+    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
+        let directory = &self.directory;
+        answer_round(
+            requests,
+            &mut self.stats,
+            self.fault_injector.as_deref(),
+            // Locked per target, not per round (see the type docs).
+            |addr, flow, keys| {
+                directory
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
                     .query(addr, flow, keys)
-            };
-            match &answer {
-                Some(_) => self.stats.responses_received += 1,
-                None => self.stats.timeouts += 1,
-            }
-            responses.set(target, answer);
-        }
-        responses
+            },
+        )
     }
 
     fn stats(&self) -> BackendStats {
@@ -427,9 +389,7 @@ enum BreakerState {
 /// Concurrency is future-shaped, not thread-shaped: a round's per-host
 /// shares are joined on the calling thread over the runtime's reactor, so a
 /// round across a hundred hosts costs a hundred suspended exchanges and
-/// zero spawned threads (the `IDENTXX_RUNTIME=threaded` baseline restores
-/// the historical scoped-thread-per-host fan-out for comparison —
-/// EXPERIMENTS.md E10).
+/// zero spawned threads (EXPERIMENTS.md E10 checks the thread bound).
 pub struct NetworkBackend {
     endpoints: BTreeMap<Ipv4Addr, SocketAddr>,
     clients: BTreeMap<Ipv4Addr, QueryClient>,
@@ -614,24 +574,6 @@ impl Default for NetworkBackend {
 }
 
 impl QueryBackend for NetworkBackend {
-    fn query_flow(
-        &mut self,
-        flow: &FiveTuple,
-        targets: &[QueryTarget],
-        keys: &[&str],
-    ) -> FlowResponses {
-        // The singleton path is the one-request batch: per-host grouping
-        // still queries the two ends of a flow concurrently, each as a plain
-        // `QUERY` frame on its own pooled connection.
-        self.query_flows(&[FlowRequest {
-            flow: *flow,
-            targets,
-            keys,
-        }])
-        .pop()
-        .unwrap_or_default()
-    }
-
     fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
         let deadline = Instant::now() + self.budget;
         let mut responses: Vec<FlowResponses> = requests
@@ -712,53 +654,14 @@ impl QueryBackend for NetworkBackend {
         // the one shared deadline, joined on this thread — the round costs
         // ≈ the slowest host and **zero** spawned threads: the runtime's
         // reactor suspends each share on socket readiness and its timer
-        // wheel enforces the deadline (DESIGN.md §7). Under the
-        // `IDENTXX_RUNTIME=threaded` baseline the historical architecture —
-        // one scoped OS thread per extra host, blocking shims — is kept for
-        // the E10 comparison rows.
-        let results: Vec<(HostShare, Vec<Option<Response>>)> =
-            if tokio::runtime::threaded_baseline() {
-                std::thread::scope(|scope| {
-                    let mut work = work.into_iter();
-                    let first = work.next();
-                    let handles: Vec<_> = work
-                        .map(|mut share| {
-                            scope.spawn(move || {
-                                let answers = tokio::runtime::block_on(Self::batch_on_client(
-                                    &mut share.client,
-                                    &share.queries,
-                                    deadline,
-                                ));
-                                (share, answers)
-                            })
-                        })
-                        .collect();
-                    let mut results = Vec::with_capacity(handles.len() + 1);
-                    if let Some(mut share) = first {
-                        let answers = tokio::runtime::block_on(Self::batch_on_client(
-                            &mut share.client,
-                            &share.queries,
-                            deadline,
-                        ));
-                        results.push((share, answers));
-                    }
-                    results.extend(
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("query thread panicked")),
-                    );
-                    results
-                })
-            } else {
-                tokio::runtime::block_on(tokio::future::join_all(work.into_iter().map(
-                    |mut share| async move {
-                        let answers =
-                            Self::batch_on_client(&mut share.client, &share.queries, deadline)
-                                .await;
-                        (share, answers)
-                    },
-                )))
-            };
+        // wheel enforces the deadline (DESIGN.md §7).
+        let results = tokio::runtime::block_on(tokio::future::join_all(work.into_iter().map(
+            |mut share| async move {
+                let answers =
+                    Self::batch_on_client(&mut share.client, &share.queries, deadline).await;
+                (share, answers)
+            },
+        )));
 
         for (share, answers) in results {
             self.clients.insert(share.addr, share.client);
@@ -820,7 +723,8 @@ pub enum ScriptedAnswer {
     Silent,
 }
 
-/// One recorded `query_flow` call.
+/// One recorded request: every [`FlowRequest`] of a round is logged as its
+/// own entry, so a round of B flows records B entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedQuery {
     /// The flow queried about.
@@ -859,30 +763,26 @@ impl RecordingBackend {
         self
     }
 
-    /// Every `query_flow` call made so far, in order.
+    /// Every request answered so far, in order.
     pub fn recorded(&self) -> &[RecordedQuery] {
         &self.log
     }
 }
 
 impl QueryBackend for RecordingBackend {
-    fn query_flow(
-        &mut self,
-        flow: &FiveTuple,
-        targets: &[QueryTarget],
-        keys: &[&str],
-    ) -> FlowResponses {
-        self.log.push(RecordedQuery {
-            flow: *flow,
-            targets: targets.to_vec(),
-            keys: keys.iter().map(|k| k.to_string()).collect(),
-        });
-        let mut responses = FlowResponses::default();
-        for &target in targets {
-            self.stats.queries_sent += 1;
-            responses.queries_issued += 1;
-            let answer = match self.script.get(&target_addr(flow, target)) {
-                Some(ScriptedAnswer::Answer(pairs)) => {
+    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
+        self.log.extend(requests.iter().map(|r| RecordedQuery {
+            flow: r.flow,
+            targets: r.targets.to_vec(),
+            keys: r.keys.iter().map(|k| k.to_string()).collect(),
+        }));
+        let script = &self.script;
+        answer_round(
+            requests,
+            &mut self.stats,
+            None,
+            |addr, flow, _| match script.get(&addr)? {
+                ScriptedAnswer::Answer(pairs) => {
                     let mut response = Response::new(*flow);
                     let mut section = identxx_proto::Section::new();
                     for (k, v) in pairs {
@@ -891,15 +791,9 @@ impl QueryBackend for RecordingBackend {
                     response.push_section(section);
                     Some(response)
                 }
-                Some(ScriptedAnswer::Silent) | None => None,
-            };
-            match &answer {
-                Some(_) => self.stats.responses_received += 1,
-                None => self.stats.timeouts += 1,
-            }
-            responses.set(target, answer);
-        }
-        responses
+                ScriptedAnswer::Silent => None,
+            },
+        )
     }
 
     fn stats(&self) -> BackendStats {
@@ -917,6 +811,42 @@ impl QueryBackend for RecordingBackend {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// One round answered a target at a time — the in-process and scripted
+/// backends' shared rule. Every requested target is one query sent; a host
+/// behind an active drill partition is unanswered without asking `answer`;
+/// otherwise `answer(addr, flow, keys)` resolves it. Each `None` counts as
+/// unanswered.
+fn answer_round(
+    requests: &[FlowRequest<'_>],
+    stats: &mut BackendStats,
+    fault_injector: Option<&FaultInjector>,
+    mut answer: impl FnMut(Ipv4Addr, &FiveTuple, &[&str]) -> Option<Response>,
+) -> Vec<FlowResponses> {
+    requests
+        .iter()
+        .map(|request| {
+            let mut responses = FlowResponses::default();
+            for &target in request.targets {
+                let addr = target_addr(&request.flow, target);
+                stats.queries_sent += 1;
+                responses.queries_issued += 1;
+                let partitioned = fault_injector.is_some_and(|injector| injector.unreachable(addr));
+                let response = if partitioned {
+                    None
+                } else {
+                    answer(addr, &request.flow, request.keys)
+                };
+                match &response {
+                    Some(_) => stats.responses_received += 1,
+                    None => stats.timeouts += 1,
+                }
+                responses.set(target, response);
+            }
+            responses
+        })
+        .collect()
 }
 
 /// The host address a target resolves to for a flow.
@@ -1014,15 +944,36 @@ mod tests {
         assert_eq!(backend.recorded().len(), 2);
     }
 
-    #[test]
-    fn default_query_flows_matches_sequential_query_flow() {
-        let (directory, flow) = staged_directory();
-        let mut batched = InProcessBackend::with_directory(directory);
-        let (directory, _) = staged_directory();
-        let mut sequential = InProcessBackend::with_directory(directory);
+    /// Answers `requests` as one round on `batched` and one request at a
+    /// time on `sequential`, asserting the two agree per request and in
+    /// their counters. Returns the pair for backend-specific checks.
+    fn round_matches_singles<B: QueryBackend>(
+        mut batched: B,
+        mut sequential: B,
+        requests: &[FlowRequest<'_>],
+    ) -> (B, B) {
+        let round = batched.query_flows(requests);
+        assert_eq!(round.len(), requests.len());
+        for (r, request) in round.iter().zip(requests) {
+            let single = sequential.query_flow(&request.flow, request.targets, request.keys);
+            assert_eq!(
+                r.queries_issued,
+                single.queries_issued,
+                "{}",
+                batched.name()
+            );
+            assert_eq!(r.src.is_some(), single.src.is_some(), "{}", batched.name());
+            assert_eq!(r.dst.is_some(), single.dst.is_some(), "{}", batched.name());
+        }
+        assert_eq!(batched.stats(), sequential.stats(), "{}", batched.name());
+        (batched, sequential)
+    }
 
+    /// A round mixing both ends of a staged flow, an end with no daemon, and
+    /// a single end of the reversed flow.
+    fn mixed_round(flow: FiveTuple) -> [FlowRequest<'static>; 3] {
         let stranger = FiveTuple::tcp([192, 168, 9, 9], 1, [10, 0, 0, 2], 80);
-        let requests = [
+        [
             FlowRequest {
                 flow,
                 targets: BOTH_ENDS,
@@ -1033,20 +984,54 @@ mod tests {
                 targets: &[QueryTarget::Source],
                 keys: &[],
             },
-        ];
-        let batch = batched.query_flows(&requests);
-        let singles: Vec<FlowResponses> = requests
-            .iter()
-            .map(|r| sequential.query_flow(&r.flow, r.targets, r.keys))
-            .collect();
-        assert_eq!(batch.len(), singles.len());
-        for (b, s) in batch.iter().zip(&singles) {
-            assert_eq!(b.queries_issued, s.queries_issued);
-            assert_eq!(b.src.is_some(), s.src.is_some());
-            assert_eq!(b.dst.is_some(), s.dst.is_some());
-        }
-        assert_eq!(batched.stats(), sequential.stats());
-        assert_eq!(batched.stats().queries_sent, 3);
+            FlowRequest {
+                flow: flow.reversed(),
+                targets: &[QueryTarget::Destination],
+                keys: &[],
+            },
+        ]
+    }
+
+    #[test]
+    fn default_query_flows_matches_sequential_query_flow() {
+        let (directory, flow) = staged_directory();
+        let (batched, _) = round_matches_singles(
+            InProcessBackend::with_directory(directory),
+            InProcessBackend::with_directory(staged_directory().0),
+            &mixed_round(flow),
+        );
+        assert_eq!(batched.stats().queries_sent, 4);
+        assert_eq!(batched.stats().timeouts, 1);
+    }
+
+    #[test]
+    fn shared_directory_backend_batches_like_singles() {
+        let (directory, flow) = staged_directory();
+        let shared = Arc::new(Mutex::new(directory));
+        let (batched, _) = round_matches_singles(
+            SharedDirectoryBackend::new(Arc::clone(&shared)),
+            SharedDirectoryBackend::new(shared),
+            &mixed_round(flow),
+        );
+        assert_eq!(batched.stats().queries_sent, 4);
+    }
+
+    #[test]
+    fn recording_backend_round_matches_singles() {
+        let (_, flow) = staged_directory();
+        let requests = mixed_round(flow);
+        let scripted = || {
+            RecordingBackend::new()
+                .with_answer(
+                    flow.src_ip,
+                    vec![("name".to_string(), "firefox".to_string())],
+                )
+                .with_silent(flow.dst_ip)
+        };
+        let (batched, sequential) = round_matches_singles(scripted(), scripted(), &requests);
+        assert_eq!(batched.stats().responses_received, 2);
+        assert_eq!(batched.recorded().len(), requests.len());
+        assert_eq!(batched.recorded(), sequential.recorded());
     }
 
     #[test]
@@ -1079,37 +1064,6 @@ mod tests {
         assert!(b.query_flow(&flow, BOTH_ENDS, &[]).src.is_none());
         assert_eq!(a.stats().timeouts, 1);
         assert_eq!(b.stats().timeouts, 1);
-    }
-
-    #[test]
-    fn shared_directory_backend_batches_like_singles() {
-        let (directory, flow) = staged_directory();
-        let shared = Arc::new(Mutex::new(directory));
-        let mut batched = SharedDirectoryBackend::new(Arc::clone(&shared));
-        let mut sequential = SharedDirectoryBackend::new(shared);
-        let requests = [
-            FlowRequest {
-                flow,
-                targets: BOTH_ENDS,
-                keys: &[],
-            },
-            FlowRequest {
-                flow: flow.reversed(),
-                targets: &[QueryTarget::Destination],
-                keys: &[],
-            },
-        ];
-        let batch = batched.query_flows(&requests);
-        let singles: Vec<FlowResponses> = requests
-            .iter()
-            .map(|r| sequential.query_flow(&r.flow, r.targets, r.keys))
-            .collect();
-        for (b, s) in batch.iter().zip(&singles) {
-            assert_eq!(b.queries_issued, s.queries_issued);
-            assert_eq!(b.src.is_some(), s.src.is_some());
-            assert_eq!(b.dst.is_some(), s.dst.is_some());
-        }
-        assert_eq!(batched.stats(), sequential.stats());
     }
 
     #[tokio::test]

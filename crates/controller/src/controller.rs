@@ -461,42 +461,11 @@ impl IdentxxController {
     /// Runs the full ident++ decision cycle for a flow at simulated time
     /// `now` (microseconds): state-table check, queries to both ends (unless
     /// intercepted), policy evaluation, state/audit updates, and flow-mod
-    /// generation.
+    /// generation. This is the one-flow [`IdentxxController::decide_batch`].
     pub fn decide(&mut self, flow: &FiveTuple, now: u64) -> FlowDecision {
-        if self.compromised {
-            return self.compromised_decision(flow);
-        }
-        if let Some(cached) = self.cached_decision(flow, now) {
-            return cached;
-        }
-        // Resolve both ends in one backend call (interceptors answer first;
-        // an intercepted query is never forwarded, §3.4). Nothing reaches
-        // the backend when interceptors answered for both ends — so a
-        // recording backend logs no spurious zero-target call.
-        let (mut src_response, mut dst_response, targets, target_count) =
-            self.intercept_phase(flow);
-        let queries_issued = if target_count > 0 {
-            let queried =
-                self.backend
-                    .query_flow(flow, &targets[..target_count], DEFAULT_QUERY_KEYS);
-            src_response = src_response.or(queried.src);
-            dst_response = dst_response.or(queried.dst);
-            queried.queries_issued
-        } else {
-            0
-        };
-        if self.config.fail_closed_on_unanswered
-            && Self::queried_but_unanswered(&targets[..target_count], &src_response, &dst_response)
-        {
-            return self.fail_closed_decision(
-                flow,
-                src_response,
-                dst_response,
-                queries_issued,
-                now,
-            );
-        }
-        self.finish_decision(flow, src_response, dst_response, queries_issued, now)
+        self.decide_batch(std::slice::from_ref(flow), now)
+            .pop()
+            .expect("a one-flow batch yields one decision")
     }
 
     /// Runs the decision cycle for a whole batch of flows with **one**
@@ -508,8 +477,7 @@ impl IdentxxController {
     /// key (a repeat, a reverse flow, a coarse-granularity alias): the
     /// cache is re-checked as each queried flow is finished, so a state
     /// entry written by an earlier flow of the batch serves the later one
-    /// just as it would sequentially. At batch size 1 the paths are
-    /// identical in every observable. The two batch-level differences are
+    /// just as it would sequentially. The two batch-level differences are
     /// accounting, not decisions: queries for intra-batch cache aliases
     /// have already been sent by the time the alias hits (the backend
     /// counts that speculative work; sequential deciding would have

@@ -241,7 +241,9 @@ impl ShardRouter {
 /// everything that could alias it in the cache) on one shard. Decisions are
 /// therefore identical to a single controller's — `tests/sharding.rs` pins
 /// this — while [`ShardedController::decide_stream`] spreads independent
-/// flows over parallel shard threads.
+/// flows over parallel shard threads. Those are scoped OS threads spawned
+/// per call, one per busy shard whenever two or more are busy; nothing
+/// keeps them alive between calls.
 pub struct ShardedController {
     shards: Vec<IdentxxController>,
     /// Stable id per shard, parallel to `shards`. Ids are never reused, so
@@ -612,7 +614,9 @@ impl ShardedController {
     /// Decides one batch of flows: each shard's share goes through one
     /// batched query round ([`IdentxxController::decide_batch`]), busy
     /// shards running on parallel threads. Results come back in input
-    /// order.
+    /// order. The batch is a one-round stream, so a batch that touches two
+    /// or more shards spawns and joins one OS thread per busy shard on
+    /// every call.
     pub fn decide_batch(&mut self, flows: &[FiveTuple], now: u64) -> Vec<FlowDecision> {
         self.decide_stream(flows, flows.len().max(1), now)
     }
@@ -621,8 +625,10 @@ impl ShardedController {
     /// partitioned over the shards once, every busy shard processes its
     /// share on its own thread in rounds of `batch_size` flows, and the
     /// decisions come back in input order. This is the controller tier's
-    /// throughput shape — thread startup is paid per *stream*, not per
-    /// round — and what the E9 sweep measures.
+    /// throughput shape, and what the E9 sweep measures. Thread startup is
+    /// paid once per call, not per round of `batch_size`: amortised over a
+    /// long stream, but paid in full by [`ShardedController::decide_batch`],
+    /// whose stream is a single round.
     ///
     /// # Panics
     ///

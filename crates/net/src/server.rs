@@ -116,16 +116,15 @@ impl DaemonServer {
     /// On the reactor runtime `abort` genuinely cancels: the accept task's
     /// future is dropped at its next yield point, which closes the listener
     /// socket and disconnects the `stopped` channel this method waits on.
-    /// The cooperative flag + poison-pill connection are kept for the
-    /// `IDENTXX_RUNTIME=threaded` baseline (where abort detaches) and for
-    /// real tokio runtimes driving the accept loop on another thread; both
-    /// protocols converge on "listener closed before return". In-flight
+    /// The cooperative flag + poison-pill connection are kept for real tokio
+    /// runtimes driving the accept loop on another thread; both protocols
+    /// converge on "listener closed before return". In-flight
     /// per-connection tasks finish serving independently.
     pub fn shutdown(self) {
         self.running.store(false, Ordering::Release);
         self.handle.abort();
-        // Poison pill: unblock a threaded-baseline accept loop. A failure
-        // means the listener is already gone, which is fine.
+        // Poison pill: unblock an accept loop that abort cannot interrupt.
+        // A failure means the listener is already gone, which is fine.
         let _ = std::net::TcpStream::connect(self.local_addr);
         // Wait for the listener to drop (sender disconnects). Bound the wait
         // so a wedged runtime cannot hang the caller.

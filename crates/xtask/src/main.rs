@@ -556,7 +556,6 @@ mod tests {
         BenchRow::new()
             .with("row", "environment")
             .with("available_cores", 1usize)
-            .with("identxx_runtime", "reactor")
     }
 
     fn e11_cell(churn: &str, p99: f64) -> BenchRow {
@@ -595,8 +594,7 @@ mod tests {
         let baseline = vec![e11_cell("off", 2000.0), e11_env()];
         let other_env = BenchRow::new()
             .with("row", "environment")
-            .with("available_cores", 8usize)
-            .with("identxx_runtime", "reactor");
+            .with("available_cores", 8usize);
         let current = vec![e11_cell("off", 9000.0), other_env];
         assert!(matches!(
             e11_gate_outcome(&baseline, &current).unwrap(),
