@@ -258,8 +258,10 @@ pub fn run_cell(config: &E11Config) -> E11Cell {
     let ns_per_arrival = (1e9 / config.rate_per_sec) as u64;
     let scheduled_at = |i: usize| Duration::from_nanos(i as u64 * ns_per_arrival);
 
-    // Peak-thread sampler: decide_batch's scoped shard threads only exist
-    // while a batch is in flight, so the peak is observed from outside.
+    // Peak-thread sampler: the tier itself spawns no thread (its shards'
+    // rounds are futures joined on this one), so the peak shows the
+    // runtime's fixed threads; sampling from outside would also catch any
+    // thread that exists only while a batch is in flight.
     let stop = Arc::new(AtomicBool::new(false));
     let peak_threads = Arc::new(AtomicUsize::new(process_threads()));
     let sampler = {

@@ -780,14 +780,21 @@ pub fn print_e9(shard_counts: &[usize], flow_count: usize) -> Vec<BenchRow> {
         "{:>8} {:>8} {:>16} {:>14}",
         "shards", "batch", "decisions/sec", "queries/flow"
     );
+    const BATCHES: [usize; 3] = [1, 8, 32];
+    let largest = BATCHES[BATCHES.len() - 1];
     let mut rows = Vec::new();
+    // Decisions/sec at the largest batch, per shard count.
+    let mut at_largest: Vec<(usize, f64)> = Vec::new();
     for &shards in shard_counts {
-        for &batch in &[1usize, 8, 32] {
+        for batch in BATCHES {
             let (dps, qpf, decisions) = run_sharding_cell(&endpoints, shards, batch, &flows);
             assert_eq!(
                 decisions, baseline,
                 "sharded ({shards}x batch {batch}) decisions diverge from the single-controller path"
             );
+            if batch == largest {
+                at_largest.push((shards, dps));
+            }
             println!("{shards:>8} {batch:>8} {dps:>16.0} {qpf:>14.2}");
             rows.push(
                 BenchRow::new()
@@ -802,6 +809,16 @@ pub fn print_e9(shard_counts: &[usize], flow_count: usize) -> Vec<BenchRow> {
     }
     for (_, server) in servers {
         server.shutdown();
+    }
+    // The point of sharding over the network: four shards' rounds wait on
+    // their daemons at the same time. Shares run one after another would
+    // read about 0.9x one shard here, and overlapped ones read over 3x.
+    let rate = |shards: usize| at_largest.iter().find(|c| c.0 == shards).map(|c| c.1);
+    if let (Some(one), Some(four)) = (rate(1), rate(4)) {
+        assert!(
+            four >= 2.0 * one,
+            "E9: 4 shards at batch {largest} decide {four:.0}/s, under 2x one shard's {one:.0}/s: the shards' query rounds no longer overlap"
+        );
     }
     rows
 }

@@ -29,11 +29,14 @@
 //!
 //! [`QueryBackend::query_flows`] is the one required query method: one call
 //! resolves a round of flows (one [`FlowRequest`] each), returning one
-//! [`FlowResponses`] per request in request order. For each requested
-//! target the backend must either produce a response or silently yield
-//! `None` — transport failures (timeout, refused connection, silent daemon,
-//! no daemon at all) are *not* errors, because the paper's controller must
-//! "cope with missing information" and let the policy decide. Every
+//! [`FlowResponses`] per request in request order.
+//! [`QueryBackend::query_round`] is the same round as a future, the form the
+//! controller awaits; only a transport that waits on I/O needs to implement
+//! it. For each requested target the backend must either produce a response
+//! or silently yield `None` — transport failures (timeout, refused
+//! connection, silent daemon, no daemon at all) are *not* errors, because the
+//! paper's controller must "cope with missing information" and let the
+//! policy decide. Every
 //! requested target counts as one query sent; each `None` counts as
 //! unanswered. Backends never interpret responses: interception,
 //! augmentation, and policy evaluation stay controller-side.
@@ -48,7 +51,9 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::net::SocketAddr;
+use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -117,6 +122,10 @@ pub struct FlowRequest<'a> {
     pub keys: &'a [&'a str],
 }
 
+/// One backend query round in flight: resolves to one [`FlowResponses`] per
+/// request, in request order (see [`QueryBackend::query_round`]).
+pub type RoundFuture<'a> = Pin<Box<dyn Future<Output = Vec<FlowResponses>> + 'a>>;
+
 /// A transport that resolves ident++ queries for both ends of a flow.
 pub trait QueryBackend: Send {
     /// Resolves a whole round of flows, returning one [`FlowResponses`] per
@@ -127,6 +136,17 @@ pub trait QueryBackend: Send {
     /// script — but per-request semantics (counting, missing-information
     /// handling) must not change with the round size.
     fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses>;
+
+    /// The same round as a future, so a caller can keep several backends'
+    /// rounds in flight on one thread ([`crate::ShardedController`] joins
+    /// one per busy shard). The default answers with
+    /// [`QueryBackend::query_flows`] at once and returns a ready future,
+    /// which is right for in-process backends; a transport that waits on
+    /// I/O ([`NetworkBackend`]) overrides it so the wait suspends instead
+    /// of blocking the thread.
+    fn query_round<'a>(&'a mut self, requests: &'a [FlowRequest<'a>]) -> RoundFuture<'a> {
+        Box::pin(std::future::ready(self.query_flows(requests)))
+    }
 
     /// Resolves the requested `targets` of one flow: the one-request round.
     fn query_flow(
@@ -253,8 +273,9 @@ impl QueryBackend for InProcessBackend {
 /// real work.
 ///
 /// The lock is held per queried target, not per round — matching the
-/// granularity of a real daemon answering one query at a time, and short
-/// enough that shard threads interleave freely.
+/// granularity of a real daemon answering one query at a time. The tier
+/// runs its shards' rounds on one thread, so the lock is never contended
+/// there; shard threads sharing it would contend on every target.
 #[derive(Debug)]
 pub struct SharedDirectoryBackend {
     directory: Arc<Mutex<DaemonDirectory>>,
@@ -575,111 +596,116 @@ impl Default for NetworkBackend {
 
 impl QueryBackend for NetworkBackend {
     fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
-        let deadline = Instant::now() + self.budget;
-        let mut responses: Vec<FlowResponses> = requests
-            .iter()
-            .map(|r| FlowResponses {
-                queries_issued: r.targets.len() as u32,
-                ..FlowResponses::default()
-            })
-            .collect();
-        self.stats.queries_sent += requests.iter().map(|r| r.targets.len() as u64).sum::<u64>();
+        tokio::runtime::block_on(self.query_round(requests))
+    }
 
-        // Group every (request, target) pair by the host whose daemon must
-        // answer it; the round costs one round trip per host in this map,
-        // not one thread per flow end (the historical fan-out shape).
-        let mut per_host: BTreeMap<Ipv4Addr, Vec<(usize, QueryTarget)>> = BTreeMap::new();
-        for (i, request) in requests.iter().enumerate() {
-            for &target in request.targets {
-                per_host
-                    .entry(target_addr(&request.flow, target))
-                    .or_default()
-                    .push((i, target));
-            }
-        }
-
-        // One host's share of the round: its pooled client and the queries
-        // (one per requested flow end) to send it in a single frame.
-        struct HostShare {
-            addr: Ipv4Addr,
-            client: QueryClient,
-            entries: Vec<(usize, QueryTarget)>,
-            queries: Vec<Query>,
-        }
-
-        // Lift each involved host's pooled client out of the map (created on
-        // first use). Hosts with no registered endpoint have no transport at
-        // all; their slots stay `None`. The same applies to hosts behind an
-        // active drill partition, and to hosts whose circuit breaker is open
-        // — skipping them is the breaker's entire point: an unanswerable
-        // host costs nothing instead of a deadline every round.
-        let mut work: Vec<HostShare> = Vec::new();
-        for (addr, entries) in per_host {
-            if self
-                .fault_injector
-                .as_ref()
-                .is_some_and(|injector| injector.unreachable(addr))
-            {
-                continue;
-            }
-            if !self.breaker_admits(addr) {
-                continue;
-            }
-            let Some(endpoint) = self.endpoints.get(&addr) else {
-                continue;
-            };
-            let client = self
-                .clients
-                .remove(&addr)
-                .unwrap_or_else(|| QueryClient::new(*endpoint));
-            let queries: Vec<Query> = entries
+    fn query_round<'a>(&'a mut self, requests: &'a [FlowRequest<'a>]) -> RoundFuture<'a> {
+        Box::pin(async move {
+            let deadline = Instant::now() + self.budget;
+            let mut responses: Vec<FlowResponses> = requests
                 .iter()
-                .map(|&(i, _)| {
-                    let mut query = Query::new(requests[i].flow);
-                    for k in requests[i].keys {
-                        query = query.with_key(k);
-                    }
-                    query
+                .map(|r| FlowResponses {
+                    queries_issued: r.targets.len() as u32,
+                    ..FlowResponses::default()
                 })
                 .collect();
-            work.push(HostShare {
-                addr,
-                client,
-                entries,
-                queries,
-            });
-        }
+            self.stats.queries_sent += requests.iter().map(|r| r.targets.len() as u64).sum::<u64>();
 
-        // Every host's share of the round runs as a concurrent future under
-        // the one shared deadline, joined on this thread — the round costs
-        // ≈ the slowest host and **zero** spawned threads: the runtime's
-        // reactor suspends each share on socket readiness and its timer
-        // wheel enforces the deadline (DESIGN.md §7).
-        let results = tokio::runtime::block_on(tokio::future::join_all(work.into_iter().map(
-            |mut share| async move {
+            // Group every (request, target) pair by the host whose daemon must
+            // answer it; the round costs one round trip per host in this map,
+            // not one thread per flow end (the historical fan-out shape).
+            let mut per_host: BTreeMap<Ipv4Addr, Vec<(usize, QueryTarget)>> = BTreeMap::new();
+            for (i, request) in requests.iter().enumerate() {
+                for &target in request.targets {
+                    per_host
+                        .entry(target_addr(&request.flow, target))
+                        .or_default()
+                        .push((i, target));
+                }
+            }
+
+            // One host's share of the round: its pooled client and the queries
+            // (one per requested flow end) to send it in a single frame.
+            struct HostShare {
+                addr: Ipv4Addr,
+                client: QueryClient,
+                entries: Vec<(usize, QueryTarget)>,
+                queries: Vec<Query>,
+            }
+
+            // Lift each involved host's pooled client out of the map (created on
+            // first use). Hosts with no registered endpoint have no transport at
+            // all; their slots stay `None`. The same applies to hosts behind an
+            // active drill partition, and to hosts whose circuit breaker is open
+            // — skipping them is the breaker's entire point: an unanswerable
+            // host costs nothing instead of a deadline every round.
+            let mut work: Vec<HostShare> = Vec::new();
+            for (addr, entries) in per_host {
+                if self
+                    .fault_injector
+                    .as_ref()
+                    .is_some_and(|injector| injector.unreachable(addr))
+                {
+                    continue;
+                }
+                if !self.breaker_admits(addr) {
+                    continue;
+                }
+                let Some(endpoint) = self.endpoints.get(&addr) else {
+                    continue;
+                };
+                let client = self
+                    .clients
+                    .remove(&addr)
+                    .unwrap_or_else(|| QueryClient::new(*endpoint));
+                let queries: Vec<Query> = entries
+                    .iter()
+                    .map(|&(i, _)| {
+                        let mut query = Query::new(requests[i].flow);
+                        for k in requests[i].keys {
+                            query = query.with_key(k);
+                        }
+                        query
+                    })
+                    .collect();
+                work.push(HostShare {
+                    addr,
+                    client,
+                    entries,
+                    queries,
+                });
+            }
+
+            // Every host's share of the round runs as a concurrent future under
+            // the one shared deadline, joined on the polling thread — the round
+            // costs ≈ the slowest host and **zero** spawned threads: the
+            // runtime's reactor suspends each share on socket readiness and its
+            // timer wheel enforces the deadline (DESIGN.md §7).
+            let results = tokio::future::join_all(work.into_iter().map(|mut share| async move {
                 let answers =
                     Self::batch_on_client(&mut share.client, &share.queries, deadline).await;
                 (share, answers)
-            },
-        )));
+            }))
+            .await;
 
-        for (share, answers) in results {
-            self.clients.insert(share.addr, share.client);
-            self.breaker_record(share.addr, answers.iter().any(|a| a.is_some()));
-            for ((i, target), answer) in share.entries.into_iter().zip(answers) {
-                responses[i].set(target, answer);
-            }
-        }
-
-        for (i, request) in requests.iter().enumerate() {
-            for &target in request.targets {
-                match responses[i].get(target) {
-                    Some(_) => self.stats.responses_received += 1,
-                    None => self.stats.timeouts += 1,
+            for (share, answers) in results {
+                self.clients.insert(share.addr, share.client);
+                self.breaker_record(share.addr, answers.iter().any(|a| a.is_some()));
+                for ((i, target), answer) in share.entries.into_iter().zip(answers) {
+                    responses[i].set(target, answer);
                 }
             }
-        }
-        responses
+
+            for (i, request) in requests.iter().enumerate() {
+                for &target in request.targets {
+                    match responses[i].get(target) {
+                        Some(_) => self.stats.responses_received += 1,
+                        None => self.stats.timeouts += 1,
+                    }
+                }
+            }
+            responses
+        })
     }
 
     fn stats(&self) -> BackendStats {

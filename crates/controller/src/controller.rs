@@ -469,8 +469,20 @@ impl IdentxxController {
     }
 
     /// Runs the decision cycle for a whole batch of flows with **one**
-    /// backend query round ([`QueryBackend::query_flows`]) covering every
-    /// flow the cache and interceptors could not settle.
+    /// backend query round covering every flow the cache and interceptors
+    /// could not settle: [`IdentxxController::decide_round`], driven to
+    /// completion on the calling thread.
+    pub fn decide_batch(&mut self, flows: &[FiveTuple], now: u64) -> Vec<FlowDecision> {
+        tokio::runtime::block_on(self.decide_round(flows, now))
+    }
+
+    /// The decision cycle for a batch as a future: everything but the query
+    /// round ([`QueryBackend::query_round`]) runs synchronously when polled,
+    /// and the future suspends only while that round waits on its backend.
+    /// An in-process backend's round is ready at once, so the future
+    /// resolves on its first poll; a network round suspends on the reactor,
+    /// which is what lets [`crate::ShardedController`] keep every busy
+    /// shard's round in flight on one thread.
     ///
     /// Per-flow **decisions** match a sequential [`IdentxxController::decide`]
     /// loop exactly — including flows within one batch that share a cache
@@ -483,7 +495,7 @@ impl IdentxxController {
     /// counts that speculative work; sequential deciding would have
     /// skipped it), and a batch's phase-1 cache-hit audit records precede
     /// the records of its queried flows.
-    pub fn decide_batch(&mut self, flows: &[FiveTuple], now: u64) -> Vec<FlowDecision> {
+    pub async fn decide_round(&mut self, flows: &[FiveTuple], now: u64) -> Vec<FlowDecision> {
         struct Pending {
             index: usize,
             flow: FiveTuple,
@@ -495,6 +507,9 @@ impl IdentxxController {
 
         let mut decisions: Vec<Option<FlowDecision>> = (0..flows.len()).map(|_| None).collect();
         let mut pending: Vec<Pending> = Vec::new();
+        // Whether a decision of this round has written a state entry yet;
+        // until one has, the cache cannot have changed since phase 1.
+        let mut wrote_state = false;
         for (index, flow) in flows.iter().enumerate() {
             if self.compromised {
                 decisions[index] = Some(self.compromised_decision(flow));
@@ -503,7 +518,9 @@ impl IdentxxController {
             } else {
                 let (src, dst, targets, target_count) = self.intercept_phase(flow);
                 if target_count == 0 {
-                    decisions[index] = Some(self.finish_decision(flow, src, dst, 0, now));
+                    let decision = self.finish_decision(flow, src, dst, 0, now);
+                    wrote_state |= decision.verdict.keep_state;
+                    decisions[index] = Some(decision);
                 } else {
                     pending.push(Pending {
                         index,
@@ -527,16 +544,21 @@ impl IdentxxController {
                         keys: DEFAULT_QUERY_KEYS,
                     })
                     .collect();
-                self.backend.query_flows(&requests)
+                self.backend.query_round(&requests).await
             };
             for (p, queried) in pending.into_iter().zip(responses) {
-                // Re-check the cache: an earlier flow of this very batch may
-                // have inserted an entry this flow aliases (its repeat, its
-                // reverse, a coarse-key sibling). Sequential deciding would
-                // have served it from the cache, so the batch does too — the
-                // already-sent query is speculative work, not a different
-                // decision.
-                decisions[p.index] = Some(match self.cached_decision(&p.flow, now) {
+                // Re-check the cache once a flow of this very batch has
+                // written state: it may be an entry this flow aliases (its
+                // repeat, its reverse, a coarse-key sibling). Sequential
+                // deciding would have served it from the cache, so the batch
+                // does too — the already-sent query is speculative work, not
+                // a different decision.
+                let cached = if wrote_state {
+                    self.cached_decision(&p.flow, now)
+                } else {
+                    None
+                };
+                decisions[p.index] = Some(match cached {
                     Some(cached) => cached,
                     None => {
                         let src = p.src.or(queried.src);
@@ -556,7 +578,15 @@ impl IdentxxController {
                                 now,
                             )
                         } else {
-                            self.finish_decision(&p.flow, src, dst, queried.queries_issued, now)
+                            let decision = self.finish_decision(
+                                &p.flow,
+                                src,
+                                dst,
+                                queried.queries_issued,
+                                now,
+                            );
+                            wrote_state |= decision.verdict.keep_state;
+                            decision
                         }
                     }
                 });

@@ -18,7 +18,8 @@
 //!   runtime's reactor — zero threads per round, DESIGN.md §7), a recording
 //!   double for tests — plus the batched [`QueryBackend::query_flows`]
 //!   round that resolves many flows at one round trip per host
-//!   (`QUERY-BATCH` frames on pooled connections),
+//!   (`QUERY-BATCH` frames on pooled connections), and its future form
+//!   [`QueryBackend::query_round`], which the tier joins across shards,
 //! * [`shard`] — the horizontally scaled tier: [`ShardedController`] routes
 //!   flows over N independent controller shards with a consistent-hash
 //!   [`ShardRouter`] keyed on cache-granularity-normalized flow keys, and
@@ -47,7 +48,7 @@ pub mod shard;
 pub use audit::{AuditLog, AuditRecord, PolicyNote};
 pub use backend::{
     BackendStats, BreakerConfig, FlowRequest, FlowResponses, InProcessBackend, NetworkBackend,
-    QueryBackend, RecordingBackend, SharedDirectoryBackend,
+    QueryBackend, RecordingBackend, RoundFuture, SharedDirectoryBackend,
 };
 pub use config::ControllerConfig;
 pub use controller::{FlowDecision, IdentxxController};

@@ -14,8 +14,9 @@
 //!   entry with it) always land on the same shard;
 //! * N fully independent [`IdentxxController`] shards, each owning its own
 //!   compiled policy, `Box<dyn QueryBackend>`, state table, and audit log —
-//!   no lock is shared between shards, which is what lets
-//!   [`ShardedController::decide_stream`] run them on parallel threads;
+//!   no state is shared between shards, so
+//!   [`ShardedController::decide_stream`] can keep every busy shard's query
+//!   rounds in flight at once, as futures joined on the calling thread;
 //! * merged read-side views: [`ShardedController::backend_stats`] *sums*
 //!   per-shard transport counters (each shard really sent its queries — the
 //!   merged view is total work, unlike a latency view where max would be
@@ -240,10 +241,11 @@ impl ShardRouter {
 /// backend, state table, and audit log; the router keeps each flow (and
 /// everything that could alias it in the cache) on one shard. Decisions are
 /// therefore identical to a single controller's — `tests/sharding.rs` pins
-/// this — while [`ShardedController::decide_stream`] spreads independent
-/// flows over parallel shard threads. Those are scoped OS threads spawned
-/// per call, one per busy shard whenever two or more are busy; nothing
-/// keeps them alive between calls.
+/// this. The tier is single-threaded: [`ShardedController::decide_stream`]
+/// turns each busy shard's share into one future of query rounds and joins
+/// them on the calling thread. Network rounds overlap on the runtime's
+/// reactor, each under its own deadline; in-process rounds are ready on
+/// their first poll and run back to back, with no cross-thread handoff.
 pub struct ShardedController {
     shards: Vec<IdentxxController>,
     /// Stable id per shard, parallel to `shards`. Ids are never reused, so
@@ -611,24 +613,23 @@ impl ShardedController {
         self.shards[shard].decide(flow, now)
     }
 
-    /// Decides one batch of flows: each shard's share goes through one
-    /// batched query round ([`IdentxxController::decide_batch`]), busy
-    /// shards running on parallel threads. Results come back in input
-    /// order. The batch is a one-round stream, so a batch that touches two
-    /// or more shards spawns and joins one OS thread per busy shard on
-    /// every call.
+    /// Decides one batch of flows: each busy shard's share goes through
+    /// one batched query round ([`IdentxxController::decide_round`]), and
+    /// the rounds are joined on the calling thread, so network rounds
+    /// overlap under their own deadlines while in-process rounds run back
+    /// to back. Results come back in input order. This is the one-round
+    /// [`ShardedController::decide_stream`].
     pub fn decide_batch(&mut self, flows: &[FiveTuple], now: u64) -> Vec<FlowDecision> {
         self.decide_stream(flows, flows.len().max(1), now)
     }
 
     /// Decides a stream of flows at a given query-round size: the stream is
-    /// partitioned over the shards once, every busy shard processes its
-    /// share on its own thread in rounds of `batch_size` flows, and the
-    /// decisions come back in input order. This is the controller tier's
-    /// throughput shape, and what the E9 sweep measures. Thread startup is
-    /// paid once per call, not per round of `batch_size`: amortised over a
-    /// long stream, but paid in full by [`ShardedController::decide_batch`],
-    /// whose stream is a single round.
+    /// partitioned over the shards once, every busy shard works through its
+    /// share as one future of consecutive rounds of `batch_size` flows, and
+    /// the futures are joined on the calling thread, so each shard streams
+    /// independently and no thread is spawned. The decisions come back in
+    /// input order. This is the controller tier's throughput shape, and
+    /// what the E9 sweep measures.
     ///
     /// # Panics
     ///
@@ -640,75 +641,39 @@ impl ShardedController {
         now: u64,
     ) -> Vec<FlowDecision> {
         assert!(batch_size > 0, "a query round needs at least one flow");
-        let mut per_shard: Vec<Vec<(usize, FiveTuple)>> = vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<(Vec<usize>, Vec<FiveTuple>)> =
+            vec![(Vec::new(), Vec::new()); self.shards.len()];
         for (index, flow) in flows.iter().enumerate() {
-            per_shard[self.shard_for(flow)].push((index, *flow));
+            let (indices, share) = &mut per_shard[self.shard_for(flow)];
+            indices.push(index);
+            share.push(*flow);
         }
+
+        let shares = self
+            .shards
+            .iter_mut()
+            .zip(&per_shard)
+            .filter(|(_, (_, share))| !share.is_empty())
+            .map(|(shard, (_, share))| async move {
+                let mut decided = Vec::with_capacity(share.len());
+                for round in share.chunks(batch_size) {
+                    decided.extend(shard.decide_round(round, now).await);
+                }
+                decided
+            });
+        let decided = tokio::runtime::block_on(tokio::future::join_all(shares));
 
         let mut decisions: Vec<Option<FlowDecision>> = (0..flows.len()).map(|_| None).collect();
-        let busy = per_shard.iter().filter(|work| !work.is_empty()).count();
-        if busy <= 1 {
-            // One busy shard (or none): run inline, no thread to pay for.
-            for (shard, work) in self.shards.iter_mut().zip(&per_shard) {
-                Self::run_share(shard, work, batch_size, now, &mut decisions);
-            }
-        } else {
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&per_shard)
-                    .filter(|(_, work)| !work.is_empty())
-                    .map(|(shard, work)| {
-                        scope.spawn(move || {
-                            // Run the share over shard-local slots, then pair
-                            // each decision with its global flow index.
-                            let mut slots: Vec<Option<FlowDecision>> =
-                                (0..work.len()).map(|_| None).collect();
-                            let local: Vec<(usize, FiveTuple)> = work
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &(_, flow))| (i, flow))
-                                .collect();
-                            Self::run_share(shard, &local, batch_size, now, &mut slots);
-                            work.iter()
-                                .zip(slots)
-                                .map(|(&(index, _), decision)| (index, decision))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("shard thread panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (index, decision) in results {
-                decisions[index] = decision;
+        let busy = per_shard.iter().filter(|(_, share)| !share.is_empty());
+        for ((indices, _), share) in busy.zip(decided) {
+            for (&index, decision) in indices.iter().zip(share) {
+                decisions[index] = Some(decision);
             }
         }
-
         decisions
             .into_iter()
             .map(|d| d.expect("every flow is decided by its shard"))
             .collect()
-    }
-
-    /// Runs one shard's share of a stream in rounds of `batch_size`,
-    /// writing each decision into its flow's slot.
-    fn run_share(
-        shard: &mut IdentxxController,
-        work: &[(usize, FiveTuple)],
-        batch_size: usize,
-        now: u64,
-        decisions: &mut [Option<FlowDecision>],
-    ) {
-        for round in work.chunks(batch_size) {
-            let flows: Vec<FiveTuple> = round.iter().map(|&(_, flow)| flow).collect();
-            for (&(index, _), decision) in round.iter().zip(shard.decide_batch(&flows, now)) {
-                decisions[index] = Some(decision);
-            }
-        }
     }
 
     /// Transport counters **summed** over the shards. Sum, not max: every

@@ -3,11 +3,16 @@
 //! and the sharded / batched decision paths are decision-identical to the
 //! single controller deciding one flow at a time.
 
+use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::task::Poll;
+use std::thread::ThreadId;
 
 use identxx::controller::{
-    BackendStats, ControllerConfig, DaemonDirectory, FlowDecision, IdentxxController,
-    RecordingBackend, ShardRouter, ShardedController, SharedDirectoryBackend,
+    BackendStats, ControllerConfig, DaemonDirectory, FlowDecision, FlowRequest, FlowResponses,
+    IdentxxController, QueryBackend, RecordingBackend, RoundFuture, ShardRouter, ShardedController,
+    SharedDirectoryBackend,
 };
 use identxx::daemon::Daemon;
 use identxx::hostmodel::Host;
@@ -577,4 +582,178 @@ fn shared_directory_churn_hooks_are_idempotent_across_shards() {
         let flow = FiveTuple::tcp(addr, sport, Ipv4Addr::new(10, 0, 0, 2), 80);
         assert!(tier.decide(&flow, 0).is_pass(), "rejoined daemon unheard");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The tier is single-threaded: shares are futures joined on the caller
+// ---------------------------------------------------------------------------
+
+/// Every requested end unanswered (the tests below look at *where* and
+/// *when* rounds run, not at what they answer).
+fn unanswered(requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
+    requests
+        .iter()
+        .map(|r| FlowResponses {
+            queries_issued: r.targets.len() as u32,
+            ..FlowResponses::default()
+        })
+        .collect()
+}
+
+/// Records the thread every query round runs on.
+struct ThreadRecordingBackend {
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl QueryBackend for ThreadRecordingBackend {
+    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        unanswered(requests)
+    }
+
+    fn stats(&self) -> BackendStats {
+        BackendStats::default()
+    }
+
+    fn name(&self) -> &str {
+        "thread-recording"
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Flows that route to `shards` distinct shards of a 3-shard tier.
+fn flows_on_shards(tier: &ShardedController, shards: usize) -> Vec<FiveTuple> {
+    let mut seen = Vec::new();
+    let mut picked = Vec::new();
+    for i in 0..1_000u16 {
+        let flow = FiveTuple::tcp([10, 0, 0, 1], 40_000 + i, [10, 0, 1, (i % 250) as u8], 80);
+        let shard = tier.shard_for(&flow);
+        if !seen.contains(&shard) && seen.len() < shards {
+            seen.push(shard);
+            picked.push(flow);
+        }
+    }
+    assert_eq!(seen.len(), shards, "no flows found for {shards} shards");
+    picked
+}
+
+#[test]
+fn every_share_runs_on_the_calling_thread() {
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let config = ControllerConfig::new().with_control_file("00.control", "pass all\n");
+    let mut tier = ShardedController::new(config, 3)
+        .unwrap()
+        .with_backends(|_| {
+            Box::new(ThreadRecordingBackend {
+                threads: Arc::clone(&threads),
+            })
+        });
+    let flows: Vec<FiveTuple> = (0..60u16)
+        .map(|i| FiveTuple::tcp([10, 0, 0, (i % 9) as u8], 40_000 + i, [10, 0, 1, 7], 80))
+        .collect();
+    let busy = {
+        let mut shards: Vec<usize> = flows.iter().map(|f| tier.shard_for(f)).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        shards.len()
+    };
+    assert_eq!(busy, 3, "the workload should keep every shard busy");
+
+    tier.decide_batch(&flows, 0);
+    assert_eq!(
+        threads.lock().unwrap().len(),
+        busy,
+        "one round per busy shard"
+    );
+    tier.decide_stream(&flows, 4, 1);
+    let me = std::thread::current().id();
+    let seen = threads.lock().unwrap();
+    assert!(
+        seen.len() > busy + 3,
+        "the stream runs several rounds per shard"
+    );
+    assert!(
+        seen.iter().all(|&id| id == me),
+        "a share ran off the calling thread"
+    );
+}
+
+/// A round that completes only on its second poll and reports whether, by
+/// then, every busy shard had started its own round. Shares that ran one
+/// after another would each see only the rounds started before them.
+struct RendezvousBackend {
+    started: Arc<AtomicUsize>,
+    busy: usize,
+    met: Arc<Mutex<Vec<bool>>>,
+}
+
+impl QueryBackend for RendezvousBackend {
+    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
+        unanswered(requests)
+    }
+
+    fn query_round<'a>(&'a mut self, requests: &'a [FlowRequest<'a>]) -> RoundFuture<'a> {
+        let mut polled = false;
+        Box::pin(std::future::poll_fn(move |cx| {
+            if !polled {
+                polled = true;
+                self.started.fetch_add(1, Ordering::SeqCst);
+                cx.waker().wake_by_ref();
+                return Poll::Pending;
+            }
+            let all_started = self.started.load(Ordering::SeqCst) == self.busy;
+            self.met.lock().unwrap().push(all_started);
+            Poll::Ready(unanswered(requests))
+        }))
+    }
+
+    fn stats(&self) -> BackendStats {
+        BackendStats::default()
+    }
+
+    fn name(&self) -> &str {
+        "rendezvous"
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn busy_shares_overlap_their_rounds() {
+    let started = Arc::new(AtomicUsize::new(0));
+    let met = Arc::new(Mutex::new(Vec::new()));
+    let config = ControllerConfig::new().with_control_file("00.control", "pass all\n");
+    let mut tier = ShardedController::new(config, 3)
+        .unwrap()
+        .with_backends(|_| {
+            Box::new(RendezvousBackend {
+                started: Arc::clone(&started),
+                busy: 2,
+                met: Arc::clone(&met),
+            })
+        });
+    let flows = flows_on_shards(&tier, 2);
+    let decisions = tier.decide_batch(&flows, 0);
+    assert_eq!(decisions.len(), 2);
+    assert_eq!(
+        *met.lock().unwrap(),
+        [true, true],
+        "each round must find both shards' rounds started before it finishes"
+    );
 }
