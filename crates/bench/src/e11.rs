@@ -12,8 +12,8 @@
 //! instead of silently stretching the run (the coordinated-omission trap;
 //! DESIGN.md §10 has the full rationale).
 //!
-//! The population is thousands of in-process daemons behind one shared
-//! directory ([`SharedDirectoryBackend`]) queried by every shard, each
+//! The population is thousands of in-process daemons in the one daemon
+//! directory every shard of a default [`ShardedController`] queries, each
 //! daemon presenting a per-host signed delegation bundle so the decision
 //! path exercises the full E13 verify plane (policy: `pass` only what
 //! `verify()` authenticates; a slice of hosts present forged bundles and
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use crate::hist::LogHistogram;
 use crate::report::BenchRow;
 use crate::scenarios::process_threads;
-use identxx_controller::{ControllerConfig, ShardedController, SharedDirectoryBackend};
+use identxx_controller::{ControllerConfig, ShardedController};
 use identxx_crypto::{sign_bundle_windowed, KeyPair};
 use identxx_daemon::{ChurnPlan, ChurnSchedule, Daemon};
 use identxx_hostmodel::Host;
@@ -174,29 +174,20 @@ fn mint_daemon(signer: &KeyPair, index: usize) -> (Daemon, Ipv4Addr, bool) {
 /// fail-closed on unanswerable flows, host-pair+port cache keys, the E11
 /// verify policy.
 fn e11_tier(signer: &KeyPair, config: &E11Config) -> (ShardedController, Vec<(Ipv4Addr, bool)>) {
-    let (directory, first) = SharedDirectoryBackend::fresh();
-    let mut live = Vec::with_capacity(config.daemons);
-    {
-        let mut directory = directory.lock().expect("fresh directory");
-        for index in 0..config.daemons {
-            let (daemon, addr, imposter) = mint_daemon(signer, index);
-            live.push((addr, imposter));
-            directory.register(daemon);
-        }
-    }
     let controller_config = ControllerConfig::new()
         .with_control_file("00.control", E11_POLICY)
         .with_trusted_key("Secur", signer.public())
         .with_verify_cache_capacity(E11_VERIFY_CAPACITY)
         .with_cache_granularity(CacheGranularity::HostPairDstPort)
         .with_fail_closed_on_unanswered();
-    let mut first = Some(first);
-    let tier = ShardedController::new(controller_config, config.shards)
-        .expect("compile E11 policy")
-        .with_backends(|_| match first.take() {
-            Some(backend) => Box::new(backend),
-            None => Box::new(SharedDirectoryBackend::new(Arc::clone(&directory))),
-        });
+    let mut tier =
+        ShardedController::new(controller_config, config.shards).expect("compile E11 policy");
+    let mut live = Vec::with_capacity(config.daemons);
+    for index in 0..config.daemons {
+        let (daemon, addr, imposter) = mint_daemon(signer, index);
+        live.push((addr, imposter));
+        tier.register_daemon(daemon);
+    }
     (tier, live)
 }
 

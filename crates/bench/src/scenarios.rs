@@ -543,7 +543,7 @@ pub fn run_query_workload(flow_count: usize, locality: f64, seed: u64) -> (f64, 
 }
 
 /// [`run_query_workload`] over a decision tier of `shards` shards sharing
-/// one daemon directory ([`identxx_controller::SharedDirectoryBackend`]):
+/// the network's one daemon directory:
 /// the scenario-table shape of the sharded simulator path, selected by
 /// `IDENTXX_SHARDS` in [`print_e8b`].
 pub fn run_query_workload_sharded(

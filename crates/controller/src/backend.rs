@@ -9,16 +9,13 @@
 //! question ("resolve this flow's ends") and the backend decides transport,
 //! concurrency, and timeout handling, reporting uniform [`BackendStats`].
 //!
-//! Four implementations ship:
+//! Three implementations ship:
 //!
-//! * [`InProcessBackend`] — wraps an owned [`DaemonDirectory`] of simulated
-//!   daemons; the simulator path, behaviour-identical to the controller's
-//!   historical hard-wired directory.
-//! * [`SharedDirectoryBackend`] — the same in-process semantics over an
-//!   `Arc<Mutex<DaemonDirectory>>`, so N controller shards can query (and
-//!   observe mutations of) **one** daemon population — what lets the
-//!   simulator facade drive a [`crate::ShardedController`] without N
-//!   diverging daemon copies (DESIGN.md §7).
+//! * [`InProcessBackend`] — the simulator's query plane over an
+//!   `Arc<Mutex<`[`DaemonDirectory`]`>>` of simulated daemons. Any number of
+//!   backends (one per [`crate::ShardedController`] shard, say) can query
+//!   one daemon population through clones of the handle, and a mutation
+//!   made through any of them is visible to all (DESIGN.md §7).
 //! * [`NetworkBackend`] — real TCP via `identxx-net`, querying every
 //!   involved host **concurrently** with one shared deadline and a pooled
 //!   connection per host.
@@ -54,15 +51,14 @@ use std::collections::BTreeMap;
 use std::future::Future;
 use std::net::SocketAddr;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use identxx_daemon::FaultInjector;
+use identxx_daemon::{Daemon, FaultInjector};
 use identxx_net::QueryClient;
 use identxx_proto::{FiveTuple, Ipv4Addr, Query, Response};
 
 use crate::intercept::QueryTarget;
-use crate::querier::DaemonDirectory;
 
 /// Per-backend transport counters, uniform across implementations so
 /// experiments can compare transports like for like.
@@ -182,25 +178,110 @@ pub trait QueryBackend: Send {
 // In-process backend
 // ---------------------------------------------------------------------------
 
+/// The set of end-host daemons reachable from the controller.
+///
+/// In a deployment, the controller opens a TCP connection to port 783 on the
+/// flow's source and destination addresses ([`NetworkBackend`]). In the
+/// simulator the daemons live in the same process: the directory maps host
+/// addresses to their daemons and answers queries on behalf of
+/// [`InProcessBackend`], which keeps the accounting.
+#[derive(Debug, Default)]
+pub struct DaemonDirectory {
+    daemons: BTreeMap<Ipv4Addr, Daemon>,
+}
+
+impl DaemonDirectory {
+    /// Creates an empty directory.
+    pub fn new() -> Self {
+        DaemonDirectory::default()
+    }
+
+    /// Locks a shared directory — the one lock rule every caller uses. A
+    /// lock poisoned by a panic elsewhere is recovered rather than
+    /// propagated: every directory operation leaves the address map
+    /// consistent, so the worst a panicking holder leaves behind is one
+    /// half-mutated daemon, which a query answers (or not) like any other.
+    pub fn lock(directory: &Mutex<DaemonDirectory>) -> MutexGuard<'_, DaemonDirectory> {
+        directory.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers a daemon under its host's address. Replaces any previous
+    /// daemon for that address.
+    pub fn register(&mut self, daemon: Daemon) {
+        self.daemons.insert(daemon.host().addr, daemon);
+    }
+
+    /// Removes the daemon for an address.
+    pub fn unregister(&mut self, addr: Ipv4Addr) -> Option<Daemon> {
+        self.daemons.remove(&addr)
+    }
+
+    /// Access a daemon by address.
+    pub fn get(&self, addr: Ipv4Addr) -> Option<&Daemon> {
+        self.daemons.get(&addr)
+    }
+
+    /// Mutable access to a daemon by address (used by scenarios to start
+    /// applications, install configs, or compromise hosts mid-experiment).
+    pub fn get_mut(&mut self, addr: Ipv4Addr) -> Option<&mut Daemon> {
+        self.daemons.get_mut(&addr)
+    }
+
+    /// Queries the daemon at `addr` about `flow` with the given key hints.
+    ///
+    /// Returns `None` when no daemon is registered at the address, the daemon
+    /// is silent, or the daemon refuses the query; the controller's policy
+    /// must then cope with missing information. Accounting lives in the
+    /// backend driving this directory, not here.
+    pub fn query(&mut self, addr: Ipv4Addr, flow: &FiveTuple, keys: &[&str]) -> Option<Response> {
+        let daemon = self.daemons.get_mut(&addr)?;
+        let mut query = Query::new(*flow);
+        for k in keys {
+            query = query.with_key(k);
+        }
+        match daemon.answer(&query) {
+            Ok(Some(response)) => Some(response),
+            Ok(None) | Err(_) => None,
+        }
+    }
+
+    /// Number of registered daemons.
+    pub fn len(&self) -> usize {
+        self.daemons.len()
+    }
+
+    /// Whether the directory is empty.
+    pub fn is_empty(&self) -> bool {
+        self.daemons.is_empty()
+    }
+}
+
 /// The simulator's query plane: daemons live in the same process, reached
-/// through a [`DaemonDirectory`]. Queries are answered synchronously; a
-/// missing, silent, or refusing daemon is an unanswered query, exactly what
-/// the same host would look like over the network.
+/// through a shared [`DaemonDirectory`]. Queries are answered synchronously;
+/// a missing, silent, or refusing daemon is an unanswered query, exactly
+/// what the same host would look like over the network.
+///
+/// Every backend over the same handle sees one daemon population, so a
+/// sharded tier needs no per-shard copies and a scenario mutating a host
+/// (starting an application, compromising it) does so once. The
+/// [`BackendStats`] stay per backend, so a tier's merged view still sums
+/// real work. The lock is taken per queried target, not per round — the
+/// granularity of a real daemon answering one query at a time; the tier runs
+/// its shards' rounds on one thread, so it is never contended there.
 #[derive(Debug, Default)]
 pub struct InProcessBackend {
-    directory: DaemonDirectory,
+    directory: Arc<Mutex<DaemonDirectory>>,
     stats: BackendStats,
     fault_injector: Option<Arc<FaultInjector>>,
 }
 
-impl InProcessBackend {
-    /// Creates a backend with an empty daemon directory.
-    pub fn new() -> InProcessBackend {
-        InProcessBackend::default()
-    }
+/// Another name for [`InProcessBackend`], which the flow-setup benchmark
+/// (`perfbench/`) uses.
+pub type SharedDirectoryBackend = InProcessBackend;
 
-    /// Creates a backend over an existing directory.
-    pub fn with_directory(directory: DaemonDirectory) -> InProcessBackend {
+impl InProcessBackend {
+    /// Creates a backend over an existing directory handle.
+    pub fn new(directory: Arc<Mutex<DaemonDirectory>>) -> InProcessBackend {
         InProcessBackend {
             directory,
             stats: BackendStats::default(),
@@ -208,34 +289,36 @@ impl InProcessBackend {
         }
     }
 
+    /// A fresh directory plus the first backend over it; equip other
+    /// shards via [`InProcessBackend::new`] on the returned handle.
+    pub fn fresh() -> (Arc<Mutex<DaemonDirectory>>, InProcessBackend) {
+        let backend = InProcessBackend::default();
+        (Arc::clone(&backend.directory), backend)
+    }
+
     /// Attaches a failure-drill fault injector: hosts inside an active
-    /// partition window are unreachable from this backend (the in-process
-    /// equivalent of the network partition seen from the query plane).
+    /// partition window are unreachable from *this* backend (per-shard
+    /// injectors model a partition that cuts one shard off).
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> InProcessBackend {
         self.fault_injector = Some(injector);
         self
     }
 
-    /// The daemon directory.
-    pub fn directory(&self) -> &DaemonDirectory {
+    /// The directory handle this backend queries.
+    pub fn directory(&self) -> &Arc<Mutex<DaemonDirectory>> {
         &self.directory
-    }
-
-    /// Mutable access to the daemon directory (scenarios use this to start
-    /// applications, install configs, or compromise hosts mid-experiment).
-    pub fn directory_mut(&mut self) -> &mut DaemonDirectory {
-        &mut self.directory
     }
 }
 
 impl QueryBackend for InProcessBackend {
     fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
-        let directory = &mut self.directory;
+        let directory = &self.directory;
         answer_round(
             requests,
             &mut self.stats,
             self.fault_injector.as_deref(),
-            |addr, flow, keys| directory.query(addr, flow, keys),
+            // Locked per target, not per round (see the type docs).
+            |addr, flow, keys| DaemonDirectory::lock(directory).query(addr, flow, keys),
         )
     }
 
@@ -245,99 +328,6 @@ impl QueryBackend for InProcessBackend {
 
     fn name(&self) -> &str {
         "in-process"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared-directory backend
-// ---------------------------------------------------------------------------
-
-/// An in-process query plane over a **shared** daemon directory.
-///
-/// [`InProcessBackend`] owns its directory, which is exactly right for one
-/// controller but leaves a sharded tier stuck: N shards would need N copies
-/// of every daemon, and a scenario mutating a host (starting an application,
-/// compromising it) would have to repeat the mutation N times — the ROADMAP
-/// deficiency this type removes. All shards (and the simulator facade)
-/// instead hold clones of one `Arc<Mutex<DaemonDirectory>>`: a mutation is
-/// visible to every shard at its next query, and per-backend
-/// [`BackendStats`] stay shard-local so the tier's merged view still sums
-/// real work.
-///
-/// The lock is held per queried target, not per round — matching the
-/// granularity of a real daemon answering one query at a time. The tier
-/// runs its shards' rounds on one thread, so the lock is never contended
-/// there; shard threads sharing it would contend on every target.
-#[derive(Debug)]
-pub struct SharedDirectoryBackend {
-    directory: Arc<Mutex<DaemonDirectory>>,
-    stats: BackendStats,
-    fault_injector: Option<Arc<FaultInjector>>,
-}
-
-impl SharedDirectoryBackend {
-    /// Creates a backend over an existing shared directory.
-    pub fn new(directory: Arc<Mutex<DaemonDirectory>>) -> SharedDirectoryBackend {
-        SharedDirectoryBackend {
-            directory,
-            stats: BackendStats::default(),
-            fault_injector: None,
-        }
-    }
-
-    /// Attaches a failure-drill fault injector: hosts inside an active
-    /// partition window are unreachable from *this* backend (per-shard
-    /// injectors model a partition that cuts one shard off).
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> SharedDirectoryBackend {
-        self.fault_injector = Some(injector);
-        self
-    }
-
-    /// A fresh shared directory plus the first backend over it; equip other
-    /// shards via [`SharedDirectoryBackend::new`] on the returned handle.
-    pub fn fresh() -> (Arc<Mutex<DaemonDirectory>>, SharedDirectoryBackend) {
-        let directory = Arc::new(Mutex::new(DaemonDirectory::new()));
-        let backend = SharedDirectoryBackend::new(Arc::clone(&directory));
-        (directory, backend)
-    }
-
-    /// The shared directory handle.
-    pub fn directory(&self) -> Arc<Mutex<DaemonDirectory>> {
-        Arc::clone(&self.directory)
-    }
-}
-
-impl QueryBackend for SharedDirectoryBackend {
-    fn query_flows(&mut self, requests: &[FlowRequest<'_>]) -> Vec<FlowResponses> {
-        let directory = &self.directory;
-        answer_round(
-            requests,
-            &mut self.stats,
-            self.fault_injector.as_deref(),
-            // Locked per target, not per round (see the type docs).
-            |addr, flow, keys| {
-                directory
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .query(addr, flow, keys)
-            },
-        )
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.stats
-    }
-
-    fn name(&self) -> &str {
-        "shared-directory"
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -892,7 +882,64 @@ mod tests {
 
     const BOTH_ENDS: &[QueryTarget] = &[QueryTarget::Source, QueryTarget::Destination];
 
-    fn staged_directory() -> (DaemonDirectory, FiveTuple) {
+    fn daemon_at(addr: [u8; 4]) -> Daemon {
+        Daemon::bare(Host::new(format!("h-{}", addr[3]), Ipv4Addr::from(addr)))
+    }
+
+    #[test]
+    fn register_and_query() {
+        let mut dir = DaemonDirectory::new();
+        let mut d = daemon_at([10, 0, 0, 1]);
+        let exe = Executable::new("/usr/bin/firefox", "firefox", 300, "mozilla", "browser");
+        let flow =
+            d.host_mut()
+                .open_connection("alice", exe, 40000, Ipv4Addr::new(10, 0, 0, 2), 80);
+        dir.register(d);
+        dir.register(daemon_at([10, 0, 0, 2]));
+        assert_eq!(dir.len(), 2);
+
+        let resp = dir
+            .query(Ipv4Addr::new(10, 0, 0, 1), &flow, &[well_known::USER_ID])
+            .unwrap();
+        assert_eq!(resp.latest(well_known::USER_ID), Some("alice"));
+
+        // Unknown address: no daemon to ask.
+        assert!(dir.query(Ipv4Addr::new(9, 9, 9, 9), &flow, &[]).is_none());
+    }
+
+    #[test]
+    fn silent_daemons_do_not_answer() {
+        let mut dir = DaemonDirectory::new();
+        let mut d = daemon_at([10, 0, 0, 1]);
+        d.set_silent(true);
+        dir.register(d);
+        let flow = FiveTuple::tcp([10, 0, 0, 1], 1, [10, 0, 0, 2], 2);
+        assert!(dir.query(Ipv4Addr::new(10, 0, 0, 1), &flow, &[]).is_none());
+    }
+
+    #[test]
+    fn unregister_and_mutate() {
+        let mut dir = DaemonDirectory::new();
+        dir.register(daemon_at([10, 0, 0, 1]));
+        assert!(dir.get(Ipv4Addr::new(10, 0, 0, 1)).is_some());
+        dir.get_mut(Ipv4Addr::new(10, 0, 0, 1))
+            .unwrap()
+            .set_silent(true);
+        assert!(dir.get(Ipv4Addr::new(10, 0, 0, 1)).unwrap().is_silent());
+        assert!(dir.unregister(Ipv4Addr::new(10, 0, 0, 1)).is_some());
+        assert!(dir.is_empty());
+    }
+
+    #[test]
+    fn query_about_unrelated_flow_returns_none() {
+        let mut dir = DaemonDirectory::new();
+        dir.register(daemon_at([10, 0, 0, 1]));
+        // This flow involves neither source nor destination 10.0.0.1.
+        let flow = FiveTuple::tcp([10, 0, 0, 7], 1, [10, 0, 0, 8], 2);
+        assert!(dir.query(Ipv4Addr::new(10, 0, 0, 1), &flow, &[]).is_none());
+    }
+
+    fn staged_directory() -> (Arc<Mutex<DaemonDirectory>>, FiveTuple) {
         let mut directory = DaemonDirectory::new();
         let mut src = Daemon::bare(Host::new("src", Ipv4Addr::new(10, 0, 0, 1)));
         let exe = Executable::new("/usr/bin/firefox", "firefox", 300, "mozilla", "browser");
@@ -901,13 +948,13 @@ mod tests {
                 .open_connection("alice", exe, 40000, Ipv4Addr::new(10, 0, 0, 2), 80);
         directory.register(src);
         directory.register(Daemon::bare(Host::new("dst", Ipv4Addr::new(10, 0, 0, 2))));
-        (directory, flow)
+        (Arc::new(Mutex::new(directory)), flow)
     }
 
     #[test]
     fn in_process_backend_resolves_both_ends_and_counts() {
         let (directory, flow) = staged_directory();
-        let mut backend = InProcessBackend::with_directory(directory);
+        let mut backend = InProcessBackend::new(directory);
         let responses = backend.query_flow(&flow, BOTH_ENDS, &[well_known::USER_ID]);
         assert_eq!(responses.queries_issued, 2);
         assert_eq!(
@@ -924,7 +971,7 @@ mod tests {
     #[test]
     fn in_process_backend_counts_missing_daemons_as_unanswered() {
         let (directory, _) = staged_directory();
-        let mut backend = InProcessBackend::with_directory(directory);
+        let mut backend = InProcessBackend::new(directory);
         let stranger = FiveTuple::tcp([192, 168, 9, 9], 1, [10, 0, 0, 2], 80);
         let responses = backend.query_flow(&stranger, BOTH_ENDS, &[]);
         assert!(responses.src.is_none());
@@ -936,7 +983,7 @@ mod tests {
     #[test]
     fn in_process_backend_honours_target_selection() {
         let (directory, flow) = staged_directory();
-        let mut backend = InProcessBackend::with_directory(directory);
+        let mut backend = InProcessBackend::new(directory);
         let responses = backend.query_flow(&flow, &[QueryTarget::Destination], &[]);
         assert!(responses.src.is_none());
         assert!(responses.dst.is_some());
@@ -1022,8 +1069,8 @@ mod tests {
     fn default_query_flows_matches_sequential_query_flow() {
         let (directory, flow) = staged_directory();
         let (batched, _) = round_matches_singles(
-            InProcessBackend::with_directory(directory),
-            InProcessBackend::with_directory(staged_directory().0),
+            InProcessBackend::new(directory),
+            InProcessBackend::new(staged_directory().0),
             &mixed_round(flow),
         );
         assert_eq!(batched.stats().queries_sent, 4);
@@ -1032,11 +1079,10 @@ mod tests {
 
     #[test]
     fn shared_directory_backend_batches_like_singles() {
-        let (directory, flow) = staged_directory();
-        let shared = Arc::new(Mutex::new(directory));
+        let (shared, flow) = staged_directory();
         let (batched, _) = round_matches_singles(
-            SharedDirectoryBackend::new(Arc::clone(&shared)),
-            SharedDirectoryBackend::new(shared),
+            InProcessBackend::new(Arc::clone(&shared)),
+            InProcessBackend::new(shared),
             &mixed_round(flow),
         );
         assert_eq!(batched.stats().queries_sent, 4);
@@ -1062,11 +1108,9 @@ mod tests {
 
     #[test]
     fn shared_directory_backend_matches_in_process_semantics() {
-        let (directory, flow) = staged_directory();
-        let shared = Arc::new(Mutex::new(directory));
-        let mut a = SharedDirectoryBackend::new(Arc::clone(&shared));
-        let mut b = SharedDirectoryBackend::new(Arc::clone(&shared));
-        assert_eq!(a.name(), "shared-directory");
+        let (shared, flow) = staged_directory();
+        let mut a = InProcessBackend::new(Arc::clone(&shared));
+        let mut b = InProcessBackend::new(Arc::clone(&shared));
 
         // Both backends see the same daemons; counters stay per-backend.
         let responses = a.query_flow(&flow, BOTH_ENDS, &[well_known::USER_ID]);

@@ -1,6 +1,6 @@
 //! The ident++ controller.
 
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 use identxx_crypto::{VerifyCache, VerifyCacheStats};
 use identxx_pf::{
@@ -11,11 +11,10 @@ use identxx_proto::{well_known, FiveTuple, Response};
 use identxx_openflow::{ControllerDirective, FlowMod, OpenFlowController, PacketIn};
 
 use crate::audit::{AuditLog, AuditRecord, PolicyNote};
-use crate::backend::{BackendStats, InProcessBackend, QueryBackend, SharedDirectoryBackend};
+use crate::backend::{BackendStats, DaemonDirectory, InProcessBackend, QueryBackend};
 use crate::config::ControllerConfig;
 use crate::install::NetworkMap;
 use crate::intercept::{Interceptor, QueryTarget, ResponseAugmenter};
-use crate::querier::DaemonDirectory;
 
 /// The keys the controller asks for by default. The hint list is advisory
 /// (§3.2); the daemons may return more.
@@ -151,7 +150,7 @@ impl IdentxxController {
             config,
             ruleset,
             compiled,
-            backend: Box::new(InProcessBackend::new()),
+            backend: Box::new(InProcessBackend::default()),
             network: None,
             state,
             audit,
@@ -199,9 +198,8 @@ impl IdentxxController {
         self.backend.stats()
     }
 
-    /// Registers an end-host daemon with the in-process backend (owned or
-    /// shared-directory flavor; registering through a shared directory is
-    /// visible to every shard over the same handle).
+    /// Registers an end-host daemon with the in-process backend's directory,
+    /// so every controller querying the same directory sees it.
     ///
     /// # Panics
     ///
@@ -209,60 +207,11 @@ impl IdentxxController {
     /// network deployments register daemon endpoints on the
     /// [`crate::backend::NetworkBackend`] instead.
     pub fn register_daemon(&mut self, daemon: identxx_daemon::Daemon) {
-        if let Some(directory) = self.shared_daemons() {
-            directory
-                .lock()
-                .expect("shared daemon directory poisoned")
-                .register(daemon);
-            return;
-        }
-        self.daemons_mut().register(daemon);
-    }
-
-    /// Access to the in-process backend's daemon directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the controller runs over a different backend; simulator
-    /// scenarios (the only callers) always use the in-process default.
-    pub fn daemons(&self) -> &DaemonDirectory {
-        self.backend
-            .as_any()
-            .downcast_ref::<InProcessBackend>()
-            .expect("daemons(): controller is not using the in-process backend")
-            .directory()
-    }
-
-    /// Mutable access to the in-process backend's daemon directory (scenarios
-    /// use this to start applications or compromise hosts).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the controller runs over a different backend.
-    pub fn daemons_mut(&mut self) -> &mut DaemonDirectory {
-        self.backend
-            .as_any_mut()
-            .downcast_mut::<InProcessBackend>()
-            .expect("daemons_mut(): controller is not using the in-process backend")
-            .directory_mut()
-    }
-
-    /// The shared daemon directory handle, when this controller queries
-    /// through a [`SharedDirectoryBackend`] (the sharded-tier configuration
-    /// where N shards see one daemon population). `None` on any other
-    /// backend. This is the population-churn hook: registering or
-    /// unregistering through the handle is immediately visible to every
-    /// shard sharing it.
-    pub fn shared_daemons(&self) -> Option<std::sync::Arc<std::sync::Mutex<DaemonDirectory>>> {
-        self.backend
-            .as_any()
-            .downcast_ref::<SharedDirectoryBackend>()
-            .map(SharedDirectoryBackend::directory)
+        self.daemons().register(daemon);
     }
 
     /// Removes an end-host daemon from the query plane (population churn:
-    /// the host left the network). Works over both in-process backend
-    /// flavors; returns whether the daemon was present.
+    /// the host left the network); returns whether the daemon was present.
     ///
     /// # Panics
     ///
@@ -270,14 +219,27 @@ impl IdentxxController {
     /// those model daemon departure by dropping the endpoint or the scripted
     /// answer instead.
     pub fn unregister_daemon(&mut self, addr: identxx_proto::Ipv4Addr) -> bool {
-        if let Some(directory) = self.shared_daemons() {
-            return directory
-                .lock()
-                .expect("shared daemon directory poisoned")
-                .unregister(addr)
-                .is_some();
-        }
-        self.daemons_mut().unregister(addr).is_some()
+        self.daemons().unregister(addr).is_some()
+    }
+
+    /// The in-process backend's daemon directory, locked (scenarios use it
+    /// to start applications or compromise hosts). The guard borrows the
+    /// controller, so it cannot be held across a decision, which queries the
+    /// same directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the controller runs over a different backend.
+    pub fn daemons(&self) -> MutexGuard<'_, DaemonDirectory> {
+        DaemonDirectory::lock(self.in_process().directory())
+    }
+
+    /// The in-process backend, which every directory accessor goes through.
+    pub(crate) fn in_process(&self) -> &InProcessBackend {
+        self.backend
+            .as_any()
+            .downcast_ref::<InProcessBackend>()
+            .expect("controller is not using the in-process backend")
     }
 
     /// Lowers a parsed ruleset into the evaluation-ready form, carrying the
@@ -1033,19 +995,19 @@ mod tests {
         version: i64,
     ) -> FiveTuple {
         let flow = controller
-            .daemons_mut()
+            .daemons()
             .get_mut(src)
             .unwrap()
             .host_mut()
             .open_connection("alice", skype(version), 41000, dst, 80);
         let pid = controller
-            .daemons_mut()
+            .daemons()
             .get_mut(dst)
             .unwrap()
             .host_mut()
             .spawn("bob", skype(version));
         controller
-            .daemons_mut()
+            .daemons()
             .get_mut(dst)
             .unwrap()
             .host_mut()
@@ -1089,7 +1051,7 @@ mod tests {
     fn non_skype_traffic_is_blocked_by_default_deny() {
         let (mut controller, addrs) = skype_controller();
         let flow = controller
-            .daemons_mut()
+            .daemons()
             .get_mut(addrs[1])
             .unwrap()
             .host_mut()
@@ -1132,7 +1094,7 @@ mod tests {
             controller.register_daemon(Daemon::bare(Host::new(format!("h{addr}"), *addr)));
         }
         let flow = controller
-            .daemons_mut()
+            .daemons()
             .get_mut(addrs[0])
             .unwrap()
             .host_mut()
@@ -1158,7 +1120,7 @@ mod tests {
     fn interceptor_answers_for_legacy_hosts() {
         let (mut controller, addrs) = skype_controller();
         // The destination host has no daemon: unregister it.
-        controller.daemons_mut().unregister(addrs[4]);
+        controller.daemons().unregister(addrs[4]);
         // But an interceptor answers on its behalf claiming skype.
         controller.add_interceptor(Box::new(crate::intercept::StaticInterceptor::new(
             "legacy",
@@ -1166,7 +1128,7 @@ mod tests {
             vec![("name".to_string(), "skype".to_string())],
         )));
         let flow = controller
-            .daemons_mut()
+            .daemons()
             .get_mut(addrs[3])
             .unwrap()
             .host_mut()
@@ -1490,7 +1452,7 @@ mod tests {
         // audit log still attributes the flow to the claimed identity.
         let (mut controller, addrs) = skype_controller();
         controller
-            .daemons_mut()
+            .daemons()
             .get_mut(addrs[8])
             .unwrap()
             .set_forged_response(Some(vec![
@@ -1499,13 +1461,13 @@ mod tests {
             ]));
         // Destination really runs skype.
         let pid = controller
-            .daemons_mut()
+            .daemons()
             .get_mut(addrs[9])
             .unwrap()
             .host_mut()
             .spawn("bob", skype(210));
         controller
-            .daemons_mut()
+            .daemons()
             .get_mut(addrs[9])
             .unwrap()
             .host_mut()

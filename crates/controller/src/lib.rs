@@ -12,10 +12,11 @@
 //! * [`config`] — the controller's configuration: `.control` files, trusted
 //!   public keys, named group lists, defaults,
 //! * [`backend`] — the pluggable query plane ([`QueryBackend`]): in-process
-//!   daemons for the simulator (owned, or shared across shards via
-//!   [`SharedDirectoryBackend`]), concurrent dual-end TCP queries for
-//!   deployments (per-host futures joined under one deadline on the
-//!   runtime's reactor — zero threads per round, DESIGN.md §7), a recording
+//!   daemons for the simulator ([`InProcessBackend`] over one
+//!   [`DaemonDirectory`] that any number of controllers or shards share),
+//!   concurrent dual-end TCP queries for deployments (per-host futures
+//!   joined under one deadline on the runtime's reactor — zero threads per
+//!   round, DESIGN.md §7), a recording
 //!   double for tests — plus the batched [`QueryBackend::query_flows`]
 //!   round that resolves many flows at one round trip per host
 //!   (`QUERY-BATCH` frames on pooled connections), and its future form
@@ -25,8 +26,6 @@
 //!   [`ShardRouter`] keyed on cache-granularity-normalized flow keys, and
 //!   merges per-shard stats (sums) and audit logs (time-ordered) for
 //!   operators — see `DESIGN.md` §6,
-//! * [`querier`] — the directory of in-process daemons behind
-//!   [`backend::InProcessBackend`],
 //! * [`intercept`] — interception and augmentation of queries/responses by
 //!   on-path controllers (answering on behalf of hosts, adding sections),
 //! * [`install`] — turning decisions into flow-table entries along the flow's
@@ -42,17 +41,15 @@ pub mod config;
 pub mod controller;
 pub mod install;
 pub mod intercept;
-pub mod querier;
 pub mod shard;
 
 pub use audit::{AuditLog, AuditRecord, PolicyNote};
 pub use backend::{
-    BackendStats, BreakerConfig, FlowRequest, FlowResponses, InProcessBackend, NetworkBackend,
-    QueryBackend, RecordingBackend, RoundFuture, SharedDirectoryBackend,
+    BackendStats, BreakerConfig, DaemonDirectory, FlowRequest, FlowResponses, InProcessBackend,
+    NetworkBackend, QueryBackend, RecordingBackend, RoundFuture, SharedDirectoryBackend,
 };
 pub use config::ControllerConfig;
 pub use controller::{FlowDecision, IdentxxController};
 pub use install::NetworkMap;
 pub use intercept::{Interceptor, QueryTarget, ResponseAugmenter};
-pub use querier::DaemonDirectory;
 pub use shard::{ShardRouter, ShardedController};

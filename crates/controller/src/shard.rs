@@ -14,9 +14,12 @@
 //!   entry with it) always land on the same shard;
 //! * N fully independent [`IdentxxController`] shards, each owning its own
 //!   compiled policy, `Box<dyn QueryBackend>`, state table, and audit log —
-//!   no state is shared between shards, so
+//!   no decision state is shared between shards, so
 //!   [`ShardedController::decide_stream`] can keep every busy shard's query
-//!   rounds in flight at once, as futures joined on the calling thread;
+//!   rounds in flight at once, as futures joined on the calling thread. What
+//!   the shards do share is the population they ask: a default tier's
+//!   in-process backends all query one daemon directory, so a daemon
+//!   registers (or a host is compromised) once for the whole tier;
 //! * merged read-side views: [`ShardedController::backend_stats`] *sums*
 //!   per-shard transport counters (each shard really sent its queries — the
 //!   merged view is total work, unlike a latency view where max would be
@@ -38,6 +41,8 @@
 //! one — only audit interleaving and per-shard query counts differ. See
 //! DESIGN.md §6.
 
+use std::sync::{Arc, Mutex};
+
 use identxx_daemon::Daemon;
 use identxx_pf::{CacheGranularity, PfError};
 use identxx_proto::FiveTuple;
@@ -45,7 +50,7 @@ use identxx_proto::FiveTuple;
 use identxx_crypto::VerifyCacheStats;
 
 use crate::audit::AuditRecord;
-use crate::backend::{BackendStats, QueryBackend};
+use crate::backend::{BackendStats, DaemonDirectory, InProcessBackend, QueryBackend};
 use crate::config::ControllerConfig;
 use crate::controller::{FlowDecision, IdentxxController};
 use crate::install::NetworkMap;
@@ -280,8 +285,8 @@ fn fold_verify_stats(acc: &mut VerifyCacheStats, stats: VerifyCacheStats) {
 
 impl ShardedController {
     /// Builds `shard_count` shards from one configuration, each compiling
-    /// the policy independently and starting with the default in-process
-    /// backend.
+    /// the policy independently and querying one fresh daemon directory
+    /// through its own in-process backend.
     ///
     /// # Panics
     ///
@@ -292,9 +297,13 @@ impl ShardedController {
             "a controller tier needs at least one shard"
         );
         let router = ShardRouter::new(shard_count, config.cache_granularity);
+        let directory = Arc::new(Mutex::new(DaemonDirectory::new()));
         let shards = (0..shard_count)
-            .map(|_| IdentxxController::new(config.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|_| {
+                let backend = InProcessBackend::new(Arc::clone(&directory));
+                Ok(IdentxxController::new(config.clone())?.with_backend(Box::new(backend)))
+            })
+            .collect::<Result<Vec<_>, PfError>>()?;
         Ok(ShardedController {
             shards,
             ids: (0..shard_count as u64).collect(),
@@ -389,13 +398,11 @@ impl ShardedController {
         &self.shards
     }
 
-    /// Registers an end-host daemon with **every** shard's in-process
-    /// backend (cloned per shard): any flow involving the host routes to
-    /// exactly one shard, but which one depends on the peer, so each shard
-    /// must be able to query it. When the shards share one daemon directory
-    /// (`SharedDirectoryBackend`), the daemon is registered once through the
-    /// shared handle and every shard sees it immediately — the arrival half
-    /// of population churn.
+    /// Registers an end-host daemon with every distinct daemon directory
+    /// behind the shards' in-process backends — once for a default tier,
+    /// whose shards share one directory. Any flow involving the host routes
+    /// to exactly one shard, but which one depends on the peer, so every
+    /// shard must be able to query it. The arrival half of population churn.
     ///
     /// # Panics
     ///
@@ -403,23 +410,19 @@ impl ShardedController {
     /// on the shard's `NetworkBackend` instead, via
     /// [`ShardedController::shard_mut`]).
     pub fn register_daemon(&mut self, daemon: Daemon) {
-        if let Some(directory) = self.shards[0].shared_daemons() {
-            directory
-                .lock()
-                .expect("shared daemon directory poisoned")
-                .register(daemon);
-            return;
+        let directories = self.directories();
+        let (last, others) = directories
+            .split_last()
+            .expect("a tier has at least one shard");
+        for directory in others {
+            DaemonDirectory::lock(directory).register(daemon.clone());
         }
-        for shard in &mut self.shards {
-            shard.register_daemon(daemon.clone());
-        }
+        DaemonDirectory::lock(last).register(daemon);
     }
 
-    /// Removes an end-host daemon from the tier's query plane — the
-    /// departure half of population churn. Over a shared directory the
-    /// removal happens once and is visible to every shard; over per-shard
-    /// in-process backends each shard's clone is dropped. Returns whether
-    /// any backend held the daemon. Flows that still name the departed host
+    /// Removes an end-host daemon from every distinct directory behind the
+    /// tier — the departure half of population churn. Returns whether any
+    /// directory held the daemon. Flows that still name the departed host
     /// go unanswered, which is exactly the silent-host shape the fail-closed
     /// configuration (`ControllerConfig::with_fail_closed_on_unanswered`)
     /// exists for.
@@ -428,18 +431,24 @@ impl ShardedController {
     ///
     /// Panics when a shard runs a non-in-process backend.
     pub fn unregister_daemon(&mut self, addr: identxx_proto::Ipv4Addr) -> bool {
-        if let Some(directory) = self.shards[0].shared_daemons() {
-            return directory
-                .lock()
-                .expect("shared daemon directory poisoned")
-                .unregister(addr)
-                .is_some();
-        }
         let mut removed = false;
-        for shard in &mut self.shards {
-            removed |= shard.unregister_daemon(addr);
+        for directory in self.directories() {
+            removed |= DaemonDirectory::lock(directory).unregister(addr).is_some();
         }
         removed
+    }
+
+    /// The distinct daemon directories behind the shards' in-process
+    /// backends, in first-shard order.
+    fn directories(&self) -> Vec<&Arc<Mutex<DaemonDirectory>>> {
+        let mut distinct: Vec<&Arc<Mutex<DaemonDirectory>>> = Vec::new();
+        for shard in &self.shards {
+            let directory = shard.in_process().directory();
+            if !distinct.iter().any(|seen| Arc::ptr_eq(seen, directory)) {
+                distinct.push(directory);
+            }
+        }
+        distinct
     }
 
     /// Marks every shard compromised (§5.1) or restores them.
@@ -911,7 +920,7 @@ mod tests {
         // Grow: the new shard takes over ≈ 1/4 of the keys plus their
         // history; nothing is lost and repeats still hit the cache.
         let slot = elastic
-            .add_shard(Box::new(crate::backend::InProcessBackend::new()))
+            .add_shard(Box::new(InProcessBackend::default()))
             .unwrap();
         assert_eq!(slot, 3);
         assert_eq!(elastic.shard_id(slot), 3);
@@ -991,7 +1000,7 @@ mod tests {
         let mut elastic = ShardedController::new(config, 2).unwrap();
         elastic.remove_shard(0);
         let slot = elastic
-            .add_shard(Box::new(crate::backend::InProcessBackend::new()))
+            .add_shard(Box::new(InProcessBackend::default()))
             .unwrap();
         assert_eq!(elastic.shard_id(slot), 2, "removed id 0 must not come back");
         assert_eq!(elastic.router().shard_ids(), &[1, 2]);

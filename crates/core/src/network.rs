@@ -2,19 +2,20 @@
 //!
 //! The facade drives one of two decision tiers behind the same API: a single
 //! [`IdentxxController`] (the default, faithful to the paper's prototype) or
-//! a [`ShardedController`] whose N shards all query **one** shared daemon
-//! directory through [`SharedDirectoryBackend`] — so every scenario that
-//! mutates hosts mid-experiment (compromises, new applications) works
-//! unchanged when sharded, and any scenario table can run under
-//! `IDENTXX_SHARDS` (DESIGN.md §6/§7).
+//! a [`ShardedController`]. Either way every controller queries **one**
+//! daemon directory that the facade also holds, through an
+//! [`InProcessBackend`] each — so every scenario that mutates hosts
+//! mid-experiment (compromises, new applications) works unchanged when
+//! sharded, and any scenario table can run under `IDENTXX_SHARDS`
+//! (DESIGN.md §6/§7).
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use identxx_controller::{
-    ControllerConfig, DaemonDirectory, FlowDecision, IdentxxController, NetworkMap,
-    ShardedController, SharedDirectoryBackend,
+    ControllerConfig, DaemonDirectory, FlowDecision, IdentxxController, InProcessBackend,
+    NetworkMap, ShardedController,
 };
 use identxx_daemon::Daemon;
 use identxx_hostmodel::{Executable, Host};
@@ -36,47 +37,35 @@ const CONTROLLER_OVERHEAD: Duration = Duration::from_micros(20);
 /// Per-rule evaluation cost.
 const PER_RULE_COST: Duration = Duration::from_micros(1);
 
-/// The decision plane behind the facade: one controller, or a sharded tier
-/// over a shared daemon directory.
+/// The decision plane behind the facade: one controller, or a sharded tier.
 enum DecisionTier {
     Single(Box<IdentxxController>),
-    Sharded {
-        tier: Box<ShardedController>,
-        directory: Arc<Mutex<DaemonDirectory>>,
-    },
+    Sharded(Box<ShardedController>),
 }
 
-/// Mutable access to one daemon, independent of the decision tier: a plain
-/// borrow on the single-controller path, a held directory lock on the
-/// sharded one. Derefs to [`Daemon`], so call sites read identically.
-pub enum DaemonMut<'a> {
-    /// Borrowed out of the single controller's in-process backend.
-    Direct(&'a mut Daemon),
-    /// Held lock over the sharded tier's shared directory.
-    Shared(MutexGuard<'a, DaemonDirectory>, Ipv4Addr),
+/// Mutable access to one daemon: a held lock over the network's daemon
+/// directory plus the daemon's address. Derefs to [`Daemon`], so call sites
+/// read like a plain borrow.
+pub struct DaemonMut<'a> {
+    directory: MutexGuard<'a, DaemonDirectory>,
+    addr: Ipv4Addr,
 }
 
 impl Deref for DaemonMut<'_> {
     type Target = Daemon;
 
     fn deref(&self) -> &Daemon {
-        match self {
-            DaemonMut::Direct(daemon) => daemon,
-            DaemonMut::Shared(guard, addr) => {
-                guard.get(*addr).expect("checked present at construction")
-            }
-        }
+        self.directory
+            .get(self.addr)
+            .expect("checked present at construction")
     }
 }
 
 impl DerefMut for DaemonMut<'_> {
     fn deref_mut(&mut self) -> &mut Daemon {
-        match self {
-            DaemonMut::Direct(daemon) => daemon,
-            DaemonMut::Shared(guard, addr) => guard
-                .get_mut(*addr)
-                .expect("checked present at construction"),
-        }
+        self.directory
+            .get_mut(self.addr)
+            .expect("checked present at construction")
     }
 }
 
@@ -84,6 +73,8 @@ impl DerefMut for DaemonMut<'_> {
 /// decision tier (with a daemon per host), and a data-plane entry point.
 pub struct EnterpriseNetwork {
     tier: DecisionTier,
+    /// The daemon population every controller of the tier queries.
+    directory: Arc<Mutex<DaemonDirectory>>,
     map: NetworkMap,
     switches: BTreeMap<SwitchId, Switch>,
     host_addrs: Vec<Ipv4Addr>,
@@ -102,11 +93,10 @@ impl EnterpriseNetwork {
     }
 
     /// [`EnterpriseNetwork::from_topology`] with the decision tier sharded
-    /// `shards` ways: each shard gets a [`SharedDirectoryBackend`] over one
-    /// shared daemon directory, so host mutations (compromises, new
-    /// applications) are visible to every shard and decisions stay identical
-    /// to the single-controller network. `shards <= 1` builds the single
-    /// tier.
+    /// `shards` ways: every shard queries the network's one daemon
+    /// directory, so host mutations (compromises, new applications) are
+    /// visible to every shard and decisions stay identical to the
+    /// single-controller network. `shards <= 1` builds the single tier.
     pub fn from_topology_sharded(
         topology: Topology,
         config: ControllerConfig,
@@ -122,32 +112,25 @@ impl EnterpriseNetwork {
     ) -> Result<EnterpriseNetwork, PfError> {
         let map = NetworkMap::new(topology);
         let mut host_addrs = Vec::new();
-        let mut daemons = Vec::new();
+        let mut directory = DaemonDirectory::new();
         for node in map.topology().nodes_of_kind(NodeKind::Host) {
             let info = map.topology().node(node).unwrap();
             host_addrs.push(info.addr);
-            daemons.push(Daemon::bare(Host::new(info.name.clone(), info.addr)));
+            directory.register(Daemon::bare(Host::new(info.name.clone(), info.addr)));
         }
+        let directory = Arc::new(Mutex::new(directory));
+        let backend = || Box::new(InProcessBackend::new(Arc::clone(&directory)));
 
         let tier = if shards <= 1 {
-            let mut controller = IdentxxController::new(config)?.with_network(map.clone());
-            for daemon in daemons {
-                controller.register_daemon(daemon);
-            }
+            let controller = IdentxxController::new(config)?
+                .with_network(map.clone())
+                .with_backend(backend());
             DecisionTier::Single(Box::new(controller))
         } else {
-            let mut directory = DaemonDirectory::new();
-            for daemon in daemons {
-                directory.register(daemon);
-            }
-            let directory = Arc::new(Mutex::new(directory));
             let tier = ShardedController::new(config, shards)?
                 .with_network(map.clone())
-                .with_backends(|_| Box::new(SharedDirectoryBackend::new(Arc::clone(&directory))));
-            DecisionTier::Sharded {
-                tier: Box::new(tier),
-                directory,
-            }
+                .with_backends(|_| backend());
+            DecisionTier::Sharded(Box::new(tier))
         };
 
         let mut switches = BTreeMap::new();
@@ -171,6 +154,7 @@ impl EnterpriseNetwork {
 
         Ok(EnterpriseNetwork {
             tier,
+            directory,
             map,
             switches,
             host_addrs,
@@ -245,7 +229,7 @@ impl EnterpriseNetwork {
     pub fn controller(&self) -> &IdentxxController {
         match &self.tier {
             DecisionTier::Single(controller) => controller,
-            DecisionTier::Sharded { .. } => {
+            DecisionTier::Sharded(_) => {
                 panic!("controller(): network runs a sharded tier; use sharded()")
             }
         }
@@ -260,7 +244,7 @@ impl EnterpriseNetwork {
     pub fn controller_mut(&mut self) -> &mut IdentxxController {
         match &mut self.tier {
             DecisionTier::Single(controller) => controller,
-            DecisionTier::Sharded { .. } => {
+            DecisionTier::Sharded(_) => {
                 panic!("controller_mut(): network runs a sharded tier; use sharded_mut()")
             }
         }
@@ -270,7 +254,7 @@ impl EnterpriseNetwork {
     pub fn sharded(&self) -> Option<&ShardedController> {
         match &self.tier {
             DecisionTier::Single(_) => None,
-            DecisionTier::Sharded { tier, .. } => Some(tier),
+            DecisionTier::Sharded(tier) => Some(tier),
         }
     }
 
@@ -278,7 +262,7 @@ impl EnterpriseNetwork {
     pub fn sharded_mut(&mut self) -> Option<&mut ShardedController> {
         match &mut self.tier {
             DecisionTier::Single(_) => None,
-            DecisionTier::Sharded { tier, .. } => Some(tier),
+            DecisionTier::Sharded(tier) => Some(tier),
         }
     }
 
@@ -286,7 +270,7 @@ impl EnterpriseNetwork {
     pub fn shard_count(&self) -> usize {
         match &self.tier {
             DecisionTier::Single(_) => 1,
-            DecisionTier::Sharded { tier, .. } => tier.shard_count(),
+            DecisionTier::Sharded(tier) => tier.shard_count(),
         }
     }
 
@@ -294,7 +278,7 @@ impl EnterpriseNetwork {
     pub fn audit_len(&self) -> usize {
         match &self.tier {
             DecisionTier::Single(controller) => controller.audit().len(),
-            DecisionTier::Sharded { tier, .. } => tier.audit_len(),
+            DecisionTier::Sharded(tier) => tier.audit_len(),
         }
     }
 
@@ -302,7 +286,7 @@ impl EnterpriseNetwork {
     pub fn cache_hit_ratio(&self) -> f64 {
         match &self.tier {
             DecisionTier::Single(controller) => controller.audit().cache_hit_ratio(),
-            DecisionTier::Sharded { tier, .. } => tier.cache_hit_ratio(),
+            DecisionTier::Sharded(tier) => tier.cache_hit_ratio(),
         }
     }
 
@@ -310,7 +294,7 @@ impl EnterpriseNetwork {
     pub fn total_queries(&self) -> u64 {
         match &self.tier {
             DecisionTier::Single(controller) => controller.audit().total_queries(),
-            DecisionTier::Sharded { tier, .. } => tier.total_queries(),
+            DecisionTier::Sharded(tier) => tier.total_queries(),
         }
     }
 
@@ -319,24 +303,15 @@ impl EnterpriseNetwork {
         &self.map
     }
 
-    /// Mutable access to a daemon by host address, on either tier: a direct
-    /// borrow from the single controller's directory, or a held lock over
-    /// the sharded tier's shared directory (every shard sees the mutation).
+    /// Mutable access to a daemon by host address, on either tier: a held
+    /// lock over the one directory every controller queries, so the
+    /// mutation is visible to whichever shard decides the next flow.
     pub fn daemon_mut(&mut self, addr: Ipv4Addr) -> Option<DaemonMut<'_>> {
-        match &mut self.tier {
-            DecisionTier::Single(controller) => controller
-                .daemons_mut()
-                .get_mut(addr)
-                .map(DaemonMut::Direct),
-            DecisionTier::Sharded { directory, .. } => {
-                let guard = directory.lock().unwrap_or_else(|e| e.into_inner());
-                if guard.get(addr).is_some() {
-                    Some(DaemonMut::Shared(guard, addr))
-                } else {
-                    None
-                }
-            }
-        }
+        let directory = DaemonDirectory::lock(&self.directory);
+        directory
+            .get(addr)
+            .is_some()
+            .then_some(DaemonMut { directory, addr })
     }
 
     /// Mutable access to a switch.
@@ -499,7 +474,7 @@ impl EnterpriseNetwork {
     fn decide_at(&mut self, flow: &FiveTuple, now: u64) -> FlowDecision {
         match &mut self.tier {
             DecisionTier::Single(controller) => controller.decide(flow, now),
-            DecisionTier::Sharded { tier, .. } => tier.decide(flow, now),
+            DecisionTier::Sharded(tier) => tier.decide(flow, now),
         }
     }
 

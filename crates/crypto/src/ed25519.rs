@@ -1,8 +1,6 @@
 //! Ed25519 signatures (RFC 8032), implemented from scratch.
 //!
-//! This is the real signature scheme behind the PF+=2 `verify` function; it
-//! replaced the toy Schnorr construction (which survives only behind the
-//! `legacy-toy` feature, for the cross-scheme equivalence tests). Like the
+//! This is the signature scheme behind the PF+=2 `verify` function. Like the
 //! rest of this crate it is hermetic — no external crates — and validated
 //! against the RFC 8032 §7.1 test vectors.
 //!

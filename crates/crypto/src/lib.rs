@@ -27,11 +27,6 @@
 //!   by bundle content hash, so the decision path pays curve math once per
 //!   distinct bundle and a hash-plus-window-check thereafter.
 //!
-//! The original toy Schnorr scheme over a 61-bit field (the `field` +
-//! `schnorr` modules) is compiled only under the `legacy-toy` cargo feature; it
-//! exists solely for the cross-scheme equivalence tests, and `xtask lint`
-//! flags any other use.
-//!
 //! ## Example
 //!
 //! ```
@@ -46,12 +41,8 @@
 //! ```
 
 pub mod ed25519;
-#[cfg(feature = "legacy-toy")]
-pub mod field;
 pub mod hmac;
 pub mod keys;
-#[cfg(feature = "legacy-toy")]
-pub mod schnorr;
 pub mod sha256;
 pub mod sha512;
 pub mod signing;

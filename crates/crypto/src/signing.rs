@@ -393,9 +393,12 @@ mod tests {
         let sig = sign_bundle(&kp, &["ab", "c"]);
         assert!(!verify_bundle(&sig, &kp.public(), &["a", "bc"]));
         assert!(verify_bundle(&sig, &kp.public(), &["ab", "c"]));
-        // Differing item counts also matter.
+        // Differing item counts also matter: an appended empty item, and a
+        // dropped trailing item.
         let sig2 = sign_bundle(&kp, &["abc"]);
         assert!(!verify_bundle(&sig2, &kp.public(), &["abc", ""]));
+        let sig3 = sign_bundle(&kp, &["ab", "c", "d"]);
+        assert!(!verify_bundle(&sig3, &kp.public(), &["ab", "c"]));
     }
 
     #[test]

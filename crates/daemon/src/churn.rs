@@ -14,9 +14,8 @@
 //! [`ChurnSchedule::pick`] draw, and arrivals are minted by the driver
 //! (fresh addresses, fresh daemons). Splitting it this way keeps the plan
 //! independent of any directory type: the E11 harness applies it to the
-//! shard tier's shared [`DaemonDirectory`], tests apply it to plain vectors.
-//!
-//! [`DaemonDirectory`]: ../identxx_controller/querier/struct.DaemonDirectory.html
+//! shard tier's daemon directory (`identxx_controller::DaemonDirectory`),
+//! tests apply it to plain vectors.
 
 use crate::fault::Window;
 

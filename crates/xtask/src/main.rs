@@ -15,14 +15,6 @@
 //!    exempt (test scaffolding blocks on purpose); a deliberate production
 //!    use is escaped with an `xtask:allow-blocking` comment on the same
 //!    line, which the lint counts and reports.
-//! 4. **Toy-scheme containment** — the legacy toy Schnorr signature scheme
-//!    is insecure by construction and compiled only under the crypto
-//!    crate's `legacy-toy` feature. Outside its home modules
-//!    (`crates/crypto/src/schnorr.rs` + `field.rs`), any *code* reference
-//!    to `schnorr` (doc comments are fine) must have `legacy-toy` on the
-//!    same line or within the few lines above it (a `#[cfg(feature =
-//!    "legacy-toy")]` gate counts), so the toy scheme cannot quietly leak
-//!    back into the production signing path.
 //!
 //! Exit status is non-zero if any lint fails, so CI can gate on it.
 //!
@@ -88,7 +80,6 @@ fn lint() -> ExitCode {
         for file in rust_files(&dir) {
             files_scanned += 1;
             check_blocking_in_async(&file, &mut violations);
-            check_toy_scheme_containment(&file, &mut violations);
         }
     }
 
@@ -496,58 +487,6 @@ fn scan_blocking_in_async(label: &str, text: &str, violations: &mut Vec<String>)
     }
 }
 
-/// The toy scheme's home modules, where bare `schnorr` references are the
-/// implementation itself rather than a leak.
-const TOY_SCHEME_HOMES: &[&str] = &["crates/crypto/src/schnorr.rs", "crates/crypto/src/field.rs"];
-
-/// The feature gate whose presence (on the line or just above, e.g. a
-/// `#[cfg(feature = "legacy-toy")]` attribute) licenses a toy-scheme
-/// reference.
-const TOY_MARKER: &str = "legacy-toy";
-
-/// Lines above a flagged reference in which [`TOY_MARKER`] still covers it.
-const TOY_WINDOW: usize = 3;
-
-fn check_toy_scheme_containment(path: &Path, violations: &mut Vec<String>) {
-    if let Ok(text) = std::fs::read_to_string(path) {
-        scan_toy_scheme_containment(&path.display().to_string(), &text, violations);
-    }
-}
-
-/// The toy-scheme containment lint over one file's source `text`; `label` is
-/// the file's path, which both names violations (`label:line`) and decides
-/// the [`TOY_SCHEME_HOMES`] exemption.
-fn scan_toy_scheme_containment(label: &str, text: &str, violations: &mut Vec<String>) {
-    let display = label.replace('\\', "/");
-    if TOY_SCHEME_HOMES.iter().any(|home| display.ends_with(home)) {
-        return;
-    }
-    let raw_lines: Vec<&str> = text.lines().collect();
-    for (idx, raw) in raw_lines.iter().copied().enumerate() {
-        // Sanitize first: prose mentions in comments and strings are fine,
-        // only code paths (`schnorr::sign`, `pub mod schnorr`) are leaks.
-        if !has_token(&sanitize(raw).to_ascii_lowercase(), "schnorr") {
-            continue;
-        }
-        let covered = raw_lines[idx.saturating_sub(TOY_WINDOW)..=idx]
-            .iter()
-            .any(|l| l.contains(TOY_MARKER));
-        if !covered {
-            violations.push(format!(
-                "{}:{}: toy-scheme reference outside its `{}` gate (add a \
-                 `#[cfg(feature = \"{}\")]` within {} lines above, or use the real \
-                 ed25519 API): {}",
-                label,
-                idx + 1,
-                TOY_MARKER,
-                TOY_MARKER,
-                TOY_WINDOW,
-                raw.trim()
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,41 +616,6 @@ mod tests {
         let escaped =
             blocking("async fn f() {\n    thread::sleep(d); // xtask:allow-blocking why\n}\n");
         assert!(escaped.is_empty(), "{escaped:?}");
-    }
-
-    #[test]
-    fn toy_scheme_lint_flags_ungated_code_but_not_comments() {
-        // The fixture's module name is assembled at runtime so this source
-        // file never contains the bare token the lint hunts for.
-        let toy = String::from("sch") + "norr";
-        let source = format!(
-            "// the {toy} scheme is mentioned here in prose\n\
-             #[cfg(feature = \"legacy-toy\")]\n\
-             use identxx_crypto::{toy};\n\
-             \n\
-             \n\
-             \n\
-             fn leak() {{ let _ = {toy}::sign(7, b\"m\"); }}\n"
-        );
-        let mut v = Vec::new();
-        scan_toy_scheme_containment("probe.rs", &source, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("probe.rs:7"), "{v:?}");
-    }
-
-    #[test]
-    fn toy_scheme_home_modules_are_exempt() {
-        // Assembled at runtime, as above: an ungated bare path the lint
-        // flags anywhere but in the scheme's own home modules.
-        let toy = String::from("sch") + "norr";
-        let source = format!("use crate::{toy}::sign;\n");
-        let mut home = Vec::new();
-        scan_toy_scheme_containment("probe/crates/crypto/src/schnorr.rs", &source, &mut home);
-        assert!(home.is_empty(), "{home:?}");
-        // Control: the same text under a non-home label is a leak.
-        let mut elsewhere = Vec::new();
-        scan_toy_scheme_containment("probe/crates/crypto/src/lib.rs", &source, &mut elsewhere);
-        assert_eq!(elsewhere.len(), 1, "{elsewhere:?}");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pass from 10.1.0.0/16 to <branch-b> with includes(@dst[branch-accepts], 443) kee
 
     // alice in branch A talks HTTPS to branch B: accepted remotely, forwarded.
     let https = controller
-        .daemons_mut()
+        .daemons()
         .get_mut(branch_a[0])
         .unwrap()
         .host_mut()
@@ -65,7 +65,7 @@ pass from 10.1.0.0/16 to <branch-b> with includes(@dst[branch-accepts], 443) kee
     // The same host tries SMB toward branch B: branch B did not list 445, so
     // branch A drops it locally and saves the WAN link the useless traffic.
     let smb = controller
-        .daemons_mut()
+        .daemons()
         .get_mut(branch_a[0])
         .unwrap()
         .host_mut()
@@ -78,7 +78,7 @@ pass from 10.1.0.0/16 to <branch-b> with includes(@dst[branch-accepts], 443) kee
 
     // Local branch-A traffic is unaffected.
     let local = controller
-        .daemons_mut()
+        .daemons()
         .get_mut(branch_a[1])
         .unwrap()
         .host_mut()

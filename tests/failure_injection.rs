@@ -30,7 +30,7 @@ fn host_without_daemon_can_still_be_covered_by_interception() {
     let flow = net.start_app(hosts[0], hosts[1], 80, "alice", firefox_app());
     // Remove the destination daemon entirely: the decision still works
     // because the policy only needs source-side facts.
-    net.controller_mut().daemons_mut().unregister(hosts[1]);
+    net.controller_mut().daemons().unregister(hosts[1]);
     assert!(net.decide(&flow).is_pass());
 
     // A policy that needs destination facts fails closed without a daemon…
@@ -71,7 +71,7 @@ fn churned_out_daemon_fails_closed_and_rejoins_cleanly() {
     // back), and check the tier-facing hook agrees it is already gone.
     let departed = net
         .controller_mut()
-        .daemons_mut()
+        .daemons()
         .unregister(hosts[0])
         .expect("h0 started with a live daemon");
     assert!(

@@ -11,8 +11,8 @@ use std::thread::ThreadId;
 
 use identxx::controller::{
     BackendStats, ControllerConfig, DaemonDirectory, FlowDecision, FlowRequest, FlowResponses,
-    IdentxxController, QueryBackend, RecordingBackend, RoundFuture, ShardRouter, ShardedController,
-    SharedDirectoryBackend,
+    IdentxxController, InProcessBackend, QueryBackend, RecordingBackend, RoundFuture, ShardRouter,
+    ShardedController,
 };
 use identxx::daemon::Daemon;
 use identxx::hostmodel::Host;
@@ -423,10 +423,10 @@ fn churn_daemon(addr: Ipv4Addr, app: &str) -> Daemon {
     daemon
 }
 
-/// A shared directory seeded with hosts .1–.8: odd hosts claim firefox
+/// A directory seeded with hosts .1–.8: odd hosts claim firefox
 /// (pass under [`test_config`]), even ones an unknown app (block).
 fn churn_directory() -> Arc<Mutex<DaemonDirectory>> {
-    let (directory, _) = SharedDirectoryBackend::fresh();
+    let (directory, _) = InProcessBackend::fresh();
     {
         let mut directory = directory.lock().unwrap();
         for i in 1u8..=8 {
@@ -441,7 +441,7 @@ fn churn_directory() -> Arc<Mutex<DaemonDirectory>> {
 fn tier_over(directory: &Arc<Mutex<DaemonDirectory>>, shards: usize) -> ShardedController {
     ShardedController::new(test_config(), shards)
         .unwrap()
-        .with_backends(|_| Box::new(SharedDirectoryBackend::new(Arc::clone(directory))))
+        .with_backends(|_| Box::new(InProcessBackend::new(Arc::clone(directory))))
 }
 
 /// Round-robin flows over hosts .1–.9 (including the not-yet-arrived .9):
@@ -519,7 +519,7 @@ fn population_churn_preserves_decision_identity_and_audit_conservation() {
     // Elastic membership composes with population churn: grow the tier by
     // one shard (over the same shared directory) mid-run, churn again, and
     // decisions still track the single controller.
-    tier.add_shard(Box::new(SharedDirectoryBackend::new(Arc::clone(&tier_dir))))
+    tier.add_shard(Box::new(InProcessBackend::new(Arc::clone(&tier_dir))))
         .expect("policy recompiles on the new shard");
     tier.register_daemon(churn_daemon(h(1), "firefox"));
     single.register_daemon(churn_daemon(h(1), "firefox"));
@@ -582,6 +582,60 @@ fn shared_directory_churn_hooks_are_idempotent_across_shards() {
         let flow = FiveTuple::tcp(addr, sport, Ipv4Addr::new(10, 0, 0, 2), 80);
         assert!(tier.decide(&flow, 0).is_pass(), "rejoined daemon unheard");
     }
+}
+
+/// A default tier's shards query one daemon directory: a daemon registered
+/// once through the tier and silenced through one shard's `daemons()` goes
+/// unanswered on every shard, not only on the shard it was silenced on.
+#[test]
+fn default_tier_shares_one_directory() {
+    let mut tier = ShardedController::new(test_config(), 3).unwrap();
+    let src = Ipv4Addr::new(10, 0, 0, 1);
+    tier.register_daemon(churn_daemon(src, "firefox"));
+    tier.shard(0)
+        .daemons()
+        .get_mut(src)
+        .unwrap()
+        .set_silent(true);
+    for flow in flows_on_shards(&tier, 3) {
+        let decision = tier.decide(&flow, 0);
+        assert!(
+            decision.src_response.is_none(),
+            "shard {} still hears the silenced daemon",
+            tier.shard_for(&flow)
+        );
+        assert!(!decision.is_pass());
+    }
+}
+
+/// A directory lock poisoned by a panicking holder does not wedge the query
+/// plane: registering, unregistering and deciding all recover it, on a
+/// single controller and on a tier over the same directory.
+#[test]
+fn a_poisoned_directory_still_registers_and_decides() {
+    let directory = churn_directory();
+    let mut single = IdentxxController::new(test_config())
+        .unwrap()
+        .with_backend(Box::new(InProcessBackend::new(Arc::clone(&directory))));
+    let mut tier = tier_over(&directory, 2);
+    let holder = Arc::clone(&directory);
+    let panicked = std::thread::spawn(move || {
+        let _guard = holder.lock().unwrap();
+        panic!("holder dies with the directory locked");
+    })
+    .join();
+    assert!(panicked.is_err());
+    assert!(directory.is_poisoned());
+
+    let h = |i: u8| Ipv4Addr::new(10, 0, 0, i);
+    single.register_daemon(churn_daemon(h(9), "firefox"));
+    assert!(single.unregister_daemon(h(2)));
+    tier.register_daemon(churn_daemon(h(10), "firefox"));
+    assert!(tier.unregister_daemon(h(4)));
+    let flow = FiveTuple::tcp(h(9), 41_000, h(10), 443);
+    assert!(single.decide(&flow, 0).is_pass());
+    assert!(tier.decide(&flow, 0).is_pass());
+    assert_eq!(single.daemons().len(), 8, "8 seeded + h9 + h10 - h2 - h4");
 }
 
 // ---------------------------------------------------------------------------
